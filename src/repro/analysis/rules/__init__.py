@@ -35,9 +35,8 @@ Rule IDs are stable and append-only:
 * ``KND014`` shard-merge-determinism — shard planners read no global
   RNG or wall clock, and merge loops fold shard results in sorted
   order, never dict-completion order.
-* ``KND015`` fenced-store-writes — ``repro.service.fleet`` modules
-  write the shared store only through the token-stamping fencing
-  helpers, never via raw ``atomic_write``/``durable_append``/
+* ``KND015`` fenced-store-writes — ``repro.service`` modules write
+  the campaign store only through the token-stamping fencing helpers, never via raw ``atomic_write``/``durable_append``/
   ``os.open``/``open``.
 
 (``KND000`` is reserved for framework diagnostics.)

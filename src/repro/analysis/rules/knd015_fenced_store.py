@@ -1,7 +1,8 @@
-"""KND015 — fleet shared-store writes go through the fencing helpers.
+"""KND015 — campaign-store writes go through the fencing helpers.
 
-The multi-host fleet's whole correctness argument (PR 10) is that every
-byte landing in the shared store is CRC-sealed **and token-stamped**:
+The campaign service's whole correctness argument is that every byte
+landing in its store — a fleet of one's state directory or a fleet's
+shared directory — is CRC-sealed **and token-stamped**:
 a record either carries the fencing token that was current when its
 writer held the shard, or it does not exist.  One raw write — an
 ``atomic_write`` that replaces a lease without re-checking the token,
@@ -12,9 +13,11 @@ mixed with a live worker's bookkeeping.
 
 So the write surface is centralized: ``repro.service.fleet.fencing``
 owns the raw primitives (``publish_sealed``, ``create_sealed_exclusive``,
-``append_sealed``), and every other module under ``repro.service.fleet``
-must call those helpers — never ``atomic_write``, ``durable_append``,
-a writable ``os.open``, or a writable builtin ``open`` directly.
+``append_sealed``), and every other module under ``repro.service`` must
+call those helpers — never ``atomic_write``, ``durable_append``, a
+writable ``os.open``, or a writable builtin ``open`` directly.  The
+service keeps no other durable state, so the rule covers the whole
+package, not just the store.
 Reads (``open(path, 'rb')``) stay permitted; degrading a torn record
 to "absent" is the reader's job, not the writer's.
 """
@@ -43,10 +46,10 @@ WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_EXCL", "O_APPEND",
 FENCING_MODULE = "repro.service.fleet.fencing"
 
 
-def in_fleet_scope(module: str) -> bool:
-    """True for ``repro.service.fleet`` modules other than the helper."""
-    if not (module == "repro.service.fleet"
-            or module.startswith("repro.service.fleet.")):
+def in_service_scope(module: str) -> bool:
+    """True for ``repro.service`` modules other than the helper."""
+    if not (module == "repro.service"
+            or module.startswith("repro.service.")):
         return False
     return module != FENCING_MODULE
 
@@ -86,14 +89,14 @@ class FencedStoreRule(Rule):
     rule_id = "KND015"
     name = "fenced-store-writes"
     severity = Severity.ERROR
-    summary = ("repro.service.fleet modules write the shared store only "
+    summary = ("repro.service modules write the campaign store only "
                "through the token-stamping fencing helpers, never via "
                "raw atomic_write/durable_append/os.open/open")
     rationale = __doc__ or ""
 
     def check(self, pf: ProjectFile, project: Project
               ) -> Iterator[Finding]:
-        if not in_fleet_scope(pf.module):
+        if not in_service_scope(pf.module):
             return
         aliases = AliasTable.scan(pf.tree)
         for node in ast.walk(pf.tree):
@@ -106,15 +109,15 @@ class FencedStoreRule(Rule):
                           else "publish_sealed")
                 yield self.finding(
                     pf, node,
-                    f"raw {qname.rsplit('.', 1)[-1]}() in a fleet "
-                    f"module: shared-store records must be CRC-sealed "
+                    f"raw {qname.rsplit('.', 1)[-1]}() in a service "
+                    f"module: campaign-store records must be CRC-sealed "
                     f"and token-stamped, so route this write through "
                     f"repro.service.fleet.fencing.{helper}",
                 )
             elif qname == "os.open" and _os_open_writes(node):
                 yield self.finding(
                     pf, node,
-                    "writable os.open() in a fleet module: exclusive "
+                    "writable os.open() in a service module: exclusive "
                     "creates belong to repro.service.fleet.fencing."
                     "create_sealed_exclusive, which seals and stamps "
                     "the record it lands",
@@ -124,8 +127,8 @@ class FencedStoreRule(Rule):
                     and _writable_mode(node)):
                 yield self.finding(
                     pf, node,
-                    "writable open() in a fleet module: every byte in "
-                    "the shared store carries a CRC seal and a fencing "
+                    "writable open() in a service module: every byte in "
+                    "the campaign store carries a CRC seal and a fencing "
                     "token, so writes flow through the "
                     "repro.service.fleet.fencing helpers (reads like "
                     "open(path, 'rb') are fine)",

@@ -35,11 +35,11 @@ Subcommands:
   its origin file, committed through the durability journal.
 * ``kondo rollback`` — restore a prior journal generation of a bundle
   (as a new generation, so history stays append-only).
-* ``kondo serve`` — run the campaign-orchestrator daemon: a durable
-  job queue over a unix socket, worker leases with heartbeats, retry
-  budgets with dead-lettering, sharded campaigns with lost-shard
-  recovery and straggler hedging (``--hedge-after``), and graceful
-  drain on SIGTERM.
+* ``kondo serve`` — run the campaign service daemon: a durable,
+  fenced job store behind a unix socket, supervised units with retry
+  budgets and dead-lettering, sharded campaigns with lost-shard
+  recovery and straggler hedging (``--hedge-after``), multi-host fleets
+  over a shared store (``--fleet``), and graceful drain on SIGTERM.
 * ``kondo submit`` / ``kondo status`` / ``kondo cancel`` /
   ``kondo drain`` — client commands against a running ``kondo serve``
   (``submit --shards N`` shards a campaign; ``status --follow``
@@ -325,11 +325,10 @@ def cmd_chaos(args) -> int:
 
 def cmd_serve(args) -> int:
     import signal as _signal
+    import threading as _threading
 
     from repro.service import KondoService
 
-    if args.fleet:
-        return _serve_fleet(args, _signal)
     service = KondoService(
         args.state_dir,
         socket_path=args.socket,
@@ -339,63 +338,28 @@ def cmd_serve(args) -> int:
         default_deadline_s=args.deadline,
         supervised=not args.unsupervised,
         hedge_after_s=args.hedge_after,
-        compact_on_start=args.compact,
+        shared_dir=args.fleet,
+        worker=args.worker_id,
+        registry_ttl_s=args.registry_ttl,
     )
     service.start()
 
     def _on_signal(_signum, _frame):
-        # Graceful drain off the signal context: stop admitting, let
-        # leased jobs finish, seal the journal.
-        import threading as _threading
-
+        # Graceful drain off the signal context: stop admitting and let
+        # the admitted work finish.
         _threading.Thread(target=service.drain, name="kondo-serve-drain",
                           daemon=True).start()
 
     _signal.signal(_signal.SIGTERM, _on_signal)
     _signal.signal(_signal.SIGINT, _on_signal)
-    recovered = len(service.store.recovered_jobs)
     print(f"kondo serve: listening on {service.socket_path} "
-          f"({args.workers} worker(s), queue limit {args.queue_limit}"
-          + (f", {recovered} job(s) requeued from recovery" if recovered
-             else "") + ")")
+          f"(worker {service.worker}, epoch {service.store.epoch}, "
+          f"{args.workers} worker(s), queue limit {args.queue_limit}"
+          + (f", shared store {args.fleet}" if args.fleet else "") + ")")
     sys.stdout.flush()
     while not service.wait(timeout_s=1.0):
         pass
     print("kondo serve: drained")
-    return 0
-
-
-def _serve_fleet(args, _signal) -> int:
-    """``kondo serve --fleet <shared-dir>``: join a multi-host fleet."""
-    from repro.service import FleetService
-
-    service = FleetService(
-        args.fleet,
-        args.state_dir,
-        worker=args.worker_id,
-        socket_path=args.socket,
-        workers=args.workers,
-        lease_ttl_s=args.lease_ttl,
-        registry_ttl_s=args.registry_ttl,
-        hedge_after_s=args.hedge_after,
-    )
-    service.start()
-
-    def _on_signal(_signum, _frame):
-        import threading as _threading
-
-        _threading.Thread(target=service.drain, name="kondo-fleet-drain",
-                          daemon=True).start()
-
-    _signal.signal(_signal.SIGTERM, _on_signal)
-    _signal.signal(_signal.SIGINT, _on_signal)
-    print(f"kondo serve: fleet member {service.worker} "
-          f"(epoch {service.store.epoch}) on {service.socket_path}, "
-          f"shared store {args.fleet}")
-    sys.stdout.flush()
-    while not service.wait(timeout_s=1.0):
-        pass
-    print("kondo serve: left the fleet")
     return 0
 
 
@@ -626,11 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list available generations and exit")
 
     p = sub.add_parser("serve",
-                       help="run the campaign-orchestrator daemon "
-                            "(durable queue, worker leases, graceful "
+                       help="run the campaign service daemon "
+                            "(durable store, fenced leases, graceful "
                             "drain on SIGTERM)")
     p.add_argument("state_dir",
-                   help="durable state directory (job journal + socket)")
+                   help="state directory: the daemon's socket, and its "
+                        "campaign store unless --fleet names another")
     p.add_argument("--socket",
                    help="unix socket path (default STATE_DIR/kondo.sock)")
     p.add_argument("--workers", type=int, default=1,
@@ -648,21 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run jobs inline on worker threads instead of "
                         "in supervised child processes (testing only)")
     p.add_argument("--hedge-after", type=float,
-                   help="straggler threshold in seconds: a shard still "
-                        "on its first lease after this long gets a "
-                        "speculative hedged duplicate (default off)")
-    p.add_argument("--compact", action="store_true",
-                   help="after a clean-shutdown recovery, drop DONE "
-                        "jobs' journal records (results persist in the "
-                        "on-disk result cache)")
+                   help="straggler threshold in seconds: a unit leased "
+                        "this long gets a speculative hedged duplicate "
+                        "(default off)")
     p.add_argument("--fleet", metavar="SHARED_DIR",
-                   help="join the multi-host fleet coordinating over "
-                        "this shared directory (fenced shard leases, "
-                        "worker registry, cross-host hedging); "
-                        "STATE_DIR stays per-daemon")
+                   help="keep the campaign store in this directory "
+                        "shared with other daemons, on this host or "
+                        "others, instead of in STATE_DIR")
     p.add_argument("--worker-id",
-                   help="fleet worker id, unique across hosts "
-                        "(default: generated)")
+                   help="worker id, unique across the fleet (default: "
+                        "'local' without --fleet, generated with it)")
     p.add_argument("--registry-ttl", type=float, default=10.0,
                    help="seconds without a heartbeat before fleet "
                         "peers treat this daemon as dead and reclaim "

@@ -34,25 +34,25 @@ Fifteen drills, one per failure class the resilience layer covers:
    past the run's memory headroom; the child's ``RLIMIT_AS`` must stop
    it (verdict OOM) with the parent campaign unharmed.
 10. **worker-killed-mid-job-requeues** — a ``kondo serve`` worker's
-    supervised child is SIGKILLed mid-job; the daemon must journal the
-    SIGNALED failure, requeue under the retry budget, and the retried
+    supervised child is SIGKILLed mid-job; the daemon must record the
+    SIGNALED failure, retry under the retry budget, and the retried
     attempt must produce a result digest bit-identical to an
-    uninterrupted run — with exactly one ``complete`` record.
+    uninterrupted run — with exactly one landed completion.
 11. **serve-crash-recovers-queue** — a ``kondo serve`` daemon is
-    crash-stopped with jobs accepted (no shutdown marker) and its job
-    journal torn mid-append; a restarted daemon must discard the torn
-    record, requeue every accepted job, and complete each exactly once
-    — no lost jobs, no duplicates.
+    crash-stopped with jobs accepted and a spec record torn mid-write;
+    a restarted daemon must read the torn record as no job, run every
+    accepted job, and complete each exactly once — no lost jobs, no
+    duplicates.
 12. **shard-worker-killed-requeues-only-lost-shards** — one shard of a
-    sharded campaign is SIGKILLed mid-attempt; the daemon must requeue
+    sharded campaign is SIGKILLed mid-attempt; the daemon must retry
     *only that shard* (every other shard keeps its single clean
     attempt), and the merged result must be bit-identical to the
     no-fault sharded reference.
 13. **straggler-hedge-first-completion-wins** — one shard's primary
-    attempt is parked as a straggler; the hedging sweeper must launch a
+    attempt is parked as a straggler; a free worker must launch a
     speculative duplicate, the duplicate's completion must win, the
-    parked loser's lease must be revoked without burning the shard's
-    retry budget, and the merged result must be bit-identical to the
+    fenced loser must be killed without burning the shard's retry
+    budget, and the merged result must be bit-identical to the
     no-fault run.
 14. **fleet-partition-heals** — one of two fleet daemons loses the
     shared store mid-fleet; it must degrade to typed read-only
@@ -697,6 +697,34 @@ def _drill_torn_patch_recovers(dims, seed: int, workdir: str) -> ChaosCheck:
 _SERVE_DRILL_ITER = 40
 
 
+def _landed_once(service, job_id: str) -> List[str]:
+    """Problems with the job's fenced-store evidence of exactly one
+    landed completion per unit (empty when it holds)."""
+    audit = service.store.token_audit(job_id)
+    problems = [] if audit["ok"] else [f"token audit failed: {audit}"]
+    problems += [f"unit {s['shard']}: {s['landed_events']} landed "
+                 f"completions" for s in audit["shards"]
+                 if s["landed_events"] != 1]
+    return problems
+
+
+def _await_marker(marker: str, timeout_s: float = 15.0) -> bool:
+    """Wait for a parked attempt's one-shot marker.
+
+    The supervisor publishes a child's pid right after the fork, before
+    the child runs; killing it before it claims the marker would move
+    the park switch onto the retry, which would then stall to TIMEOUT.
+    """
+    import time
+
+    deadline = time.monotonic() + timeout_s
+    while not os.path.exists(marker):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
 def _serve_drill_service(state_dir: str, workers: int, job_runner=None,
                          shard_runner=None, hedge_after_s=None):
     """A ``KondoService`` tuned for drill speed (fast ticks, real forks)."""
@@ -722,9 +750,9 @@ def _serve_drill_service(state_dir: str, workers: int, job_runner=None,
 
 def _drill_worker_killed_mid_job(program, dims, seed: int,
                                  workdir: str) -> ChaosCheck:
-    """SIGKILL a leased worker's child mid-job; the lease machinery must
-    journal the SIGNALED failure, requeue, and the retried attempt must
-    produce a bit-identical result — with exactly one complete record."""
+    """SIGKILL a leased worker's child mid-job; the daemon must record
+    the SIGNALED failure, retry, and the retried attempt must produce a
+    bit-identical result — with exactly one landed completion."""
     import signal
     import time
 
@@ -758,10 +786,11 @@ def _drill_worker_killed_mid_job(program, dims, seed: int,
         client = ServiceClient(service.socket_path, timeout_s=5.0)
         job_id = client.submit(spec)["job"]
         # Find the supervised child executing attempt 1 (the daemon pins
-        # its pid onto the lease via the supervisor's on_spawn hook).
+        # its pid onto the attempt via the supervisor's on_spawn hook)
+        # once it has claimed the park marker.
         child_pid = None
         deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
+        while _await_marker(marker) and time.monotonic() < deadline:
             child_pid = client.status(job_id).get("child_pid")
             if child_pid:
                 break
@@ -771,21 +800,18 @@ def _drill_worker_killed_mid_job(program, dims, seed: int,
                               "attempt 1 never exposed a child pid")
         os.kill(child_pid, signal.SIGKILL)
         final = client.wait_for(job_id, timeout_s=120.0)
-        completes = service.store.complete_count(job_id)
-        problems = []
+        problems = _landed_once(service, job_id)
         if final["state"] != "done":
             problems.append(f"final state {final['state']}")
         if final["verdicts"] != ["SIGNALED"]:
             problems.append(f"verdicts {final['verdicts']!r}")
         if final["result"] != reference:
             problems.append("retried result DIVERGED from uninterrupted run")
-        if completes != 1:
-            problems.append(f"{completes} complete records")
         ok = not problems
         detail = ("; ".join(problems) if problems else
                   f"child {child_pid} SIGKILLed mid-job: SIGNALED failure "
-                  f"journaled, job requeued, retry digest identical, "
-                  f"exactly one complete record")
+                  f"recorded, job retried, retry digest identical, "
+                  f"exactly one landed completion")
         return ChaosCheck(name, ok, detail)
     finally:
         service.drain()
@@ -793,10 +819,9 @@ def _drill_worker_killed_mid_job(program, dims, seed: int,
 
 def _drill_serve_crash_recovers(program, dims, seed: int,
                                 workdir: str) -> ChaosCheck:
-    """Crash-stop a daemon with jobs accepted and tear its journal tail;
-    a restart must recover every accepted job exactly once."""
+    """Crash-stop a daemon with jobs accepted and tear a record it was
+    writing; a restart must recover every accepted job exactly once."""
     from repro.service import JobSpec, ServiceClient
-    from repro.service.store import JobStore
 
     name = "serve-crash-recovers-queue"
     state_dir = os.path.join(workdir, "serve-crash")
@@ -807,25 +832,24 @@ def _drill_serve_crash_recovers(program, dims, seed: int,
     service = _serve_drill_service(state_dir, workers=0)
     client = ServiceClient(service.socket_path, timeout_s=5.0)
     accepted = [client.submit(s)["job"] for s in specs]
-    service.abort()  # crash: no drain, no shutdown marker
+    service.abort()  # crash: no drain
 
-    # Tear the journal mid-append: half of a forged submit record, the
-    # exact state a daemon killed inside durable_append leaves behind.
-    log_path = os.path.join(state_dir, "jobs.log")
-    forged = _seal_record({
-        "op": "submit", "job": "deadbeefdeadbeef", "seq": 99,
-        "spec": specs[0].to_json(),
-    })
-    torn_append(log_path, forged, len(forged) // 2)
+    # Tear a submission mid-write: half of a forged job's spec record,
+    # the exact state a daemon killed inside the write leaves behind.
+    forged_job = "deadbeefdeadbeef"
+    forged_dir = os.path.join(state_dir, "jobs", forged_job)
+    os.makedirs(forged_dir, exist_ok=True)
+    forged = _seal_record({"spec": specs[0].to_json()})
+    torn_append(os.path.join(forged_dir, "spec.json"), forged,
+                len(forged) // 2)
 
-    # Phase 2: restart with a worker; recovery must discard the torn
-    # record and finish every accepted job exactly once.
+    # Phase 2: restart with a worker; the torn record must read as no
+    # job at all, and every accepted job must finish exactly once.
     service = _serve_drill_service(state_dir, workers=1)
     try:
         problems = []
-        if service.store.clean_shutdown:
-            problems.append("crash-stopped log read back as a clean drain")
-        recovered = {v.job_id for v in service.store.all_views()}
+        recovered = {j for j in service.store.jobs()
+                     if service.store.view(j) is not None}
         if recovered != set(accepted):
             problems.append(
                 f"recovered job set {sorted(recovered)} != accepted "
@@ -837,26 +861,24 @@ def _drill_serve_crash_recovers(program, dims, seed: int,
             if final["state"] != "done":
                 problems.append(f"job {job_id}: {final['state']}")
         for job_id in accepted:
-            n = service.store.complete_count(job_id)
-            if n != 1:
-                problems.append(f"job {job_id}: {n} complete records")
+            problems += [f"job {job_id}: {p}"
+                         for p in _landed_once(service, job_id)]
     finally:
         service.drain()
-    # A clean drain must now seal the log for the next incarnation.
-    if not JobStore.open(state_dir).clean_shutdown:
-        problems.append("drained log missing its shutdown marker")
+    if service.store.view(forged_job) is not None:
+        problems.append("the torn spec record was recovered as a job")
     ok = not problems
     detail = ("; ".join(problems) if problems else
-              f"{len(accepted)} accepted jobs survived the crash + torn "
-              f"journal tail; each completed exactly once after restart, "
-              f"drain sealed the log")
+              f"{len(accepted)} accepted jobs survived the crash + a torn "
+              f"spec record; each completed exactly once after restart, "
+              f"the torn record read as absent")
     return ChaosCheck(name, ok, detail)
 
 
 def _drill_shard_worker_killed(program, dims, seed: int,
                                workdir: str) -> ChaosCheck:
     """SIGKILL one shard of a sharded campaign mid-attempt; the daemon
-    must requeue only that shard, and the merged result must be
+    must retry only that shard, and the merged result must be
     bit-identical to the no-fault sharded reference."""
     import signal
     import time
@@ -897,10 +919,7 @@ def _drill_shard_worker_killed(program, dims, seed: int,
         # attempt, which would then stall to a TIMEOUT instead.
         killed_shard = child_pid = None
         deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if not os.path.exists(marker):
-                time.sleep(0.02)
-                continue
+        while _await_marker(marker) and time.monotonic() < deadline:
             shards = client.status(job_id).get("shards", [])
             live = [(s["shard"], s["child_pid"]) for s in shards
                     if s.get("child_pid")]
@@ -913,16 +932,13 @@ def _drill_shard_worker_killed(program, dims, seed: int,
                               "no shard ever exposed a child pid")
         os.kill(child_pid, signal.SIGKILL)
         final = client.wait_for(job_id, timeout_s=180.0)
-        problems = []
+        problems = _landed_once(service, job_id)
         if final["state"] != "done":
             problems.append(f"final state {final['state']}")
         if final["result"] != reference:
             problems.append("merged result DIVERGED from no-fault run")
         for entry in final.get("shards", []):
             idx = entry["shard"]
-            n_done = service.store.shard_done_count(job_id, idx)
-            if n_done != 1:
-                problems.append(f"shard {idx}: {n_done} sdone records")
             if idx == killed_shard:
                 if entry["verdicts"] != ["SIGNALED"]:
                     problems.append(
@@ -934,8 +950,9 @@ def _drill_shard_worker_killed(program, dims, seed: int,
         ok = not problems
         detail = ("; ".join(problems) if problems else
                   f"shard {killed_shard} (child {child_pid}) SIGKILLed: "
-                  f"only that shard requeued, merge bit-identical to the "
-                  f"no-fault sharded reference, one sdone per shard")
+                  f"only that shard retried, merge bit-identical to the "
+                  f"no-fault sharded reference, one landed completion "
+                  f"per shard")
         return ChaosCheck(name, ok, detail)
     finally:
         service.drain()
@@ -943,10 +960,10 @@ def _drill_shard_worker_killed(program, dims, seed: int,
 
 def _drill_straggler_hedge(program, dims, seed: int,
                            workdir: str) -> ChaosCheck:
-    """Park one shard's primary attempt as a straggler; the hedging
-    sweeper must race a speculative duplicate, the duplicate must win,
-    the loser's lease must be revoked without burning the retry budget,
-    and the merged result must be bit-identical to the no-fault run."""
+    """Park one shard's primary attempt as a straggler; a free worker
+    must race a speculative duplicate, the duplicate must win, the
+    fenced loser must be killed without burning the retry budget, and
+    the merged result must be bit-identical to the no-fault run."""
     import time
 
     from repro.service import JobSpec, ServiceClient, run_sharded_reference
@@ -985,16 +1002,13 @@ def _drill_straggler_hedge(program, dims, seed: int,
             problems.append(f"final state {final['state']}")
         if final["result"] != reference:
             problems.append("merged result DIVERGED from no-fault run")
-        hedged = any(r["op"] == "slease" and r.get("job") == job_id
-                     and r.get("shard") == 0 and r.get("hedge")
-                     for r in service.store.records)
+        hedged = any(e.get("op") == "hedge" and e.get("job") == job_id
+                     and e.get("shard") == 0
+                     for e in service.store.fenced_events())
         if not hedged:
-            problems.append("no hedged slease was ever journaled")
-        n_done = service.store.shard_done_count(job_id, 0)
-        if n_done != 1:
-            problems.append(
-                f"shard 0: {n_done} sdone records (first-completion-wins "
-                f"violated)")
+            problems.append("no hedge event was ever recorded")
+        problems += [f"{p} (first-completion-wins violated)"
+                     for p in _landed_once(service, job_id)]
         shard0 = next((s for s in final.get("shards", [])
                        if s["shard"] == 0), None)
         if shard0 is None:
@@ -1005,9 +1019,9 @@ def _drill_straggler_hedge(program, dims, seed: int,
                 f"{shard0['verdicts']!r}")
         ok = not problems
         detail = ("; ".join(problems) if problems else
-                  "straggler hedged, duplicate completed first, loser "
-                  "revoked without burning retries, merge bit-identical "
-                  "to the no-fault run")
+                  "straggler hedged, duplicate completed first, fenced "
+                  "loser killed without burning retries, merge "
+                  "bit-identical to the no-fault run")
         return ChaosCheck(name, ok, detail)
     finally:
         service.drain()
@@ -1023,8 +1037,13 @@ def _drill_fleet_partition_heals(program, dims, seed: int,
 
     from repro.errors import FleetPartitionedError
     from repro.resilience.faults import PartitionGate
-    from repro.service import JobSpec, ServiceClient, run_sharded_reference
-    from repro.service.fleet import FleetService
+    from repro.resilience.retry import RetryPolicy
+    from repro.service import (
+        JobSpec,
+        KondoService,
+        ServiceClient,
+        run_sharded_reference,
+    )
 
     name = "fleet-partition-heals"
     shared = os.path.join(workdir, "fleet-shared")
@@ -1033,14 +1052,15 @@ def _drill_fleet_partition_heals(program, dims, seed: int,
     reference = run_sharded_reference(spec)
 
     gate = PartitionGate()
-    alpha = FleetService(shared, os.path.join(workdir, "fleet-a"),
-                         worker="drill-alpha", workers=1,
+    fast = RetryPolicy(retries=2, backoff_s=0.02, backoff_factor=2.0,
+                       backoff_max_s=0.2, jitter="full")
+    alpha = KondoService(os.path.join(workdir, "fleet-a"),
+                         shared_dir=shared, worker="drill-alpha",
                          heartbeat_interval_s=0.05,
-                         rejoin_base_s=0.02, rejoin_max_s=0.2).start()
-    beta = FleetService(shared, os.path.join(workdir, "fleet-b"),
-                        worker="drill-beta", workers=1,
-                        heartbeat_interval_s=0.05,
-                        rejoin_base_s=0.02, rejoin_max_s=0.2,
+                         retry_policy=fast).start()
+    beta = KondoService(os.path.join(workdir, "fleet-b"),
+                        shared_dir=shared, worker="drill-beta",
+                        heartbeat_interval_s=0.05, retry_policy=fast,
                         fault_gate=gate).start()
     try:
         problems = []

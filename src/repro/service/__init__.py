@@ -1,34 +1,38 @@
-"""``kondo serve`` — the fault-tolerant debloat campaign orchestrator.
+"""``kondo serve`` — the fault-tolerant debloat campaign service.
 
-A local daemon accepting debloat jobs over a unix-socket API, backed by
-a durable CRC-sealed journal (accepted jobs survive crashes), worker
-leases with heartbeats (dead workers' jobs requeue), bounded admission
-(overload degrades to explicit ``REJECTED-BUSY``), and graceful drain.
-Sharded campaigns (``--shards N``) partition a job's fuzz budget into
-seed-keyed shards with shard-granular leases (a crashed worker requeues
-only its lost shards), straggler hedging, a deterministic merge that is
-bit-identical to the unsharded run, and streamed progress
-(``kondo status --follow``).  Multi-host fleets (``--fleet <dir>``)
-coordinate any number of daemons over a shared store with fencing
-tokens, an epoch-numbered worker registry, and partition-tolerant
-hedging (:mod:`repro.service.fleet`).  See DESIGN.md "Campaign
-orchestrator", "Sharded campaigns", and "Multi-host fleet".
+One daemon (:class:`KondoService`) accepts debloat jobs over a
+unix-socket API.  ``kondo serve STATE_DIR`` is a fleet of one whose
+store is ``STATE_DIR``; ``--fleet SHARED_DIR`` points the same daemon
+at a store any number of daemons share.  The store
+(:mod:`repro.service.fleet.store`) holds every job as CRC-sealed,
+token-stamped records — spec, fencing-token claims and leases, failure
+and dead-letter records, cancels, completions and the outcome — and
+every state is derived from those records, so an accepted job survives
+any crash and a restart reclaims its dead incarnation's work at once.
+
+A job runs as units: one per shard of a sharded campaign (``--shards
+N``, seed-keyed slices merged bit-identically to any other shard
+count), or one unit for an unsharded job.  Units run in supervised
+children with a per-unit retry budget, seeded backoff and typed dead
+letters; a job with dead shards completes as an explicitly-marked
+PARTIAL result with its missing-Θ manifest.  Admission control answers
+overload with ``REJECTED-BUSY``, stragglers get claim-on-completion
+hedges, ``follow`` streams progress, a partitioned daemon degrades to
+typed read-only mode, and ``audit`` proves per job that every unit
+completed exactly once.  See DESIGN.md "Campaign service".
 """
 
-from repro.service.bundles import ResultCache
 from repro.service.client import ServiceClient
 from repro.service.daemon import KondoService
 from repro.service.fleet import (
     ClockSource,
     FakeClock,
-    FleetService,
     FleetStore,
     ShardClaim,
     SkewedClock,
     WorkerRegistry,
 )
 from repro.service.jobs import JobSpec, JobView, ShardView, backoff_delay_s
-from repro.service.leases import Lease, LeaseManager
 from repro.service.runner import execute_job, result_digest
 from repro.service.shards import (
     ShardPlan,
@@ -40,23 +44,17 @@ from repro.service.shards import (
     plan_shards,
     run_sharded_reference,
 )
-from repro.service.store import JobStore
 
 __all__ = [
     "ClockSource",
     "FakeClock",
-    "FleetService",
     "FleetStore",
     "JobSpec",
     "JobView",
-    "JobStore",
     "KondoService",
-    "Lease",
-    "LeaseManager",
     "ShardClaim",
     "SkewedClock",
     "WorkerRegistry",
-    "ResultCache",
     "ServiceClient",
     "ShardPlan",
     "ShardPlanner",

@@ -1,45 +1,50 @@
-"""``kondo serve``: the fault-tolerant campaign orchestrator daemon.
+"""``kondo serve``: the campaign service daemon.
 
-One :class:`KondoService` owns five cooperating pieces:
+There is one daemon.  ``kondo serve STATE_DIR`` is a **fleet of one**
+whose store is ``STATE_DIR``; ``--fleet SHARED_DIR`` points the same
+daemon at a store other daemons share.  Every piece of coordination
+state lives in that store (:mod:`repro.service.fleet.store`): jobs,
+fencing-token leases, failure and dead-letter records, cancels and
+outcomes are all records, and every state is derived from them.  What
+the daemon keeps in memory is only what dies with it anyway: the
+attempts it is running, the progress bus, and a cache of sealed jobs.
 
-* the **durable job store** (:mod:`repro.service.store`) — every
-  accepted job is journaled before it is acknowledged, so a daemon
-  crash loses nothing and a restart resumes the queue;
-* a **bounded run queue** with admission control — a submission beyond
-  ``queue_limit`` outstanding jobs is answered ``REJECTED-BUSY``
-  instead of growing without bound;
-* a **worker pool** claiming work through **leases with heartbeats**
-  (:mod:`repro.service.leases`) — each unit runs in a supervised forked
-  child whose heartbeats refresh the lease and whose verdict taxonomy
-  (TIMEOUT / OOM / SIGNALED / LOST-HEARTBEAT, PR 5) classifies every
-  way a worker can die.  A sharded job (``spec.shards > 0``) is planned
-  into shard work items (:mod:`repro.service.shards`); each shard
-  leases, fails, retries, and dead-letters independently, and a final
-  merge stage unions the per-shard clouds and re-carves — bit-identical
-  to the unsharded run for every shard count;
-* a **sweeper** that expires silent leases, requeues their work under
-  the per-item retry budget (exponential backoff + full jitter from a
-  seeded RNG), releases deferred retries when due, and — when
-  ``hedge_after_s`` is set — hedges straggling shards with a
-  speculative duplicate (first completion wins; the loser's lease is
-  revoked and its child killed);
-* a **progress bus**: every state transition and (unsupervised) fuzz
+One :class:`KondoService` runs:
+
+* a **socket front door** answering ``ping``/``submit``/``status``/
+  ``cancel``/``follow``/``audit``/``drain`` (bounded JSON lines) with
+  admission control — a submission beyond ``queue_limit`` unsealed jobs
+  is answered ``REJECTED-BUSY`` instead of growing without bound;
+* ``workers`` **claim loops**.  Each scans the store's unsealed jobs,
+  claims a runnable unit under a fencing token, runs it — a sharded
+  job's shard through :func:`~repro.service.shards.execute_shard`, an
+  unsharded job's one unit through
+  :func:`~repro.service.runner.execute_job` — in a supervised forked
+  child whose heartbeats renew the lease, and publishes a token-stamped
+  completion.  A failed attempt becomes a failure record carrying its
+  verdict (TIMEOUT / OOM / SIGNALED / LOST-HEARTBEAT / EXCEPTION /
+  LEASE-EXPIRED); within the retry budget the unit is retried after a
+  seeded backoff, beyond it the unit dead-letters.  When every unit is
+  done or dead the loop seals the job: its unit result, the merged
+  shard result, an explicitly-marked PARTIAL result carrying the
+  missing-Θ manifest, or a typed dead letter.  With nothing to claim a
+  loop hedges a straggling unit (claim-on-completion: the hedge runs
+  first and claims a token only to publish, so it never fences out a
+  healthy primary; the fenced primary's child is killed);
+* a **heartbeat loop** keeping this worker's registry record live and
+  doubling as the **partition detector**: the first failed store
+  operation flips the daemon into read-only mode, and the loop probes
+  for the store's return with seeded full-jitter backoff, re-enlisting
+  (epoch bump) and replaying parked completions on success;
+* a **progress bus**: every transition and (unsupervised) fuzz
   iteration publishes an event into a bounded per-job ring; ``follow``
-  connections stream those events (``kondo status --follow``) through
-  bounded per-follower queues with drop-oldest backpressure, so a slow
-  or stuck client can never stall a worker.
+  streams them through bounded per-follower queues with drop-oldest
+  backpressure and ends on the job's terminal event.
 
-Graceful degradation is the contract: SIGTERM (or the ``drain`` op)
-stops admission, lets leased work finish, journals a clean ``shutdown``
-marker, and only then exits.  ``abort()`` is the crash path the chaos
-drills use — no marker, recovery does the work on the next start.  A
-shard that exhausts its retries dead-letters with a typed verdict and
-the campaign completes as an explicitly-marked PARTIAL result carrying
-the missing-Θ-region manifest, instead of hanging or failing outright.
-
-Deadlines propagate: a job's ``deadline_s`` (or the daemon default)
-becomes the supervised child's wall-clock budget, so no single work
-item can hold a worker past its promise.
+A restart re-enlists under a bumped epoch, which makes every lease the
+dead incarnation held reclaimable at once.  ``drain`` (or SIGTERM)
+stops admission and lets the admitted work finish; ``abort`` is the
+crash path the chaos drills use — the daemon writes nothing more.
 """
 
 from __future__ import annotations
@@ -50,47 +55,50 @@ import queue
 import signal
 import socket
 import threading
+import uuid
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
+    FleetError,
+    InjectedFault,
     JobRejectedError,
     KondoError,
     ServiceError,
     ServiceProtocolError,
+    StaleTokenError,
     SupervisedRunError,
 )
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervision.runner import Supervisor
 from repro.service import protocol
 from repro.service.fleet.clock import ClockSource
+from repro.service.fleet.registry import WorkerRegistry
+from repro.service.fleet.store import LEASE_EXPIRED, FleetStore, ShardClaim
 from repro.service.jobs import (
     CANCELLED,
     DEAD,
     DONE,
-    LEASED,
+    PARTIAL,
     QUEUED,
-    RUNNING,
     TERMINAL_STATES,
     JobSpec,
     JobView,
     backoff_delay_s,
 )
-from repro.service.leases import LeaseManager
 from repro.service.runner import execute_job
 from repro.service.shards import (
-    DEFAULT_SLICES,
     execute_shard,
     merge_shard_results,
     missing_theta_manifest,
     plan_shards,
 )
-from repro.service.store import JobStore
 
 SOCKET_NAME = "kondo.sock"
 
-#: How long the accept loop and worker queue-gets block per iteration —
-#: the daemon's reaction latency to stop/drain flags.
+#: How long loops block per iteration — the daemon's reaction latency
+#: to stop/drain flags when nothing wakes it sooner.
 TICK_S = 0.1
 
 #: Default per-attempt wall budget when neither the job nor the daemon
@@ -106,65 +114,80 @@ MAX_CONNECTIONS = 32
 #: daemon".
 KEEPALIVE_S = 1.0
 
-#: Default backoff between retry attempts (full jitter, per-job RNG).
+#: Default retry budget and backoff (full jitter, seeded per unit); the
+#: same shape paces the partition-rejoin probe.
 DEFAULT_RETRY_POLICY = RetryPolicy(
     retries=2, backoff_s=0.25, backoff_factor=2.0, backoff_max_s=5.0,
     jitter="full",
 )
 
-#: Work items on the run queue: ("job", id) — legacy whole-campaign
-#: execution; ("shard", id, index, hedge) — one shard attempt;
-#: ("merge", id) — the deterministic merge stage.
-WorkItem = Tuple
+#: The journal older daemons kept; a state directory holding one is
+#: refused rather than silently ignored.
+LEGACY_JOURNAL = "jobs.log"
+
+
+@dataclass
+class _Attempt:
+    """One unit attempt this daemon is running (a hedge has no claim
+    until it publishes)."""
+
+    job: str
+    shard: int
+    claim: Optional[ShardClaim] = None
+    child_pid: Optional[int] = None
+    renewed_at: float = 0.0
+
+    @property
+    def hedge(self) -> bool:
+        return self.claim is None
 
 
 class KondoService:
-    """The campaign orchestrator daemon.
+    """The campaign service daemon: a fleet member, possibly of one.
 
     Args:
-        state_dir: durable state directory (job journal + default socket).
+        state_dir: this daemon's directory (default socket); also the
+            store when ``shared_dir`` is not given.
         socket_path: unix socket path (default ``state_dir/kondo.sock``).
-        workers: worker threads executing work items (``0`` =
-            accept-only, useful for staging submissions before a fleet
-            attaches).
-        queue_limit: admission bound on outstanding (queued + running)
-            jobs; beyond it submissions get ``REJECTED-BUSY``.
-        retry_policy: per-item retry budget and backoff shape.
-        lease_ttl_s: how long a worker lease survives without a
-            heartbeat before the sweeper requeues its work.
+        workers: claim loops executing units (``0`` = accept-only,
+            useful for staging submissions before workers attach).
+        queue_limit: admission bound on unsealed jobs in the store;
+            beyond it submissions get ``REJECTED-BUSY``.
+        retry_policy: per-unit retry budget and backoff shape (also the
+            partition-rejoin probe's backoff shape).
+        lease_ttl_s: unit lease lifetime; heartbeats and progress renew
+            it, and an attempt that outlives it fails LEASE-EXPIRED.
         default_deadline_s: per-attempt wall budget for jobs that do not
             carry their own ``deadline_s``.
-        heartbeat_interval_s: supervised-child heartbeat period (also
-            refreshes the lease); ``None`` disables child heartbeats
-            (the lease then refreshes only between attempts).
-        supervised: run each work item in a forked, watched child (the
-            production mode).  ``False`` runs inline on the worker
+        heartbeat_interval_s: supervised-child heartbeat period and
+            registry heartbeat period.
+        supervised: run each unit in a forked, watched child (the
+            production mode).  ``False`` runs inline on the claim
             thread — faster for unit tests, no isolation, and the only
             mode with per-iteration progress events (a callback cannot
             cross the fork boundary).
-        job_runner: override the whole-job execution function (chaos
-            drills inject faulty runners); defaults to
+        job_runner: override unsharded execution (chaos drills inject
+            faulty runners); defaults to
             :func:`repro.service.runner.execute_job`.
         shard_runner: override shard execution; defaults to
             :func:`repro.service.shards.execute_shard`.  On the
             unsupervised path it is called with a ``progress=``
             keyword, so injected runners must accept it.
-        hedge_after_s: straggler threshold — a shard still on its first
-            lease after this long gets a speculative hedged duplicate
-            (first completion wins).  ``None`` disables hedging.
+        hedge_after_s: straggler threshold — a unit leased this long
+            gets a speculative hedge (first completion wins).  ``None``
+            disables hedging.
         event_buffer: bound on both the per-job event ring and each
             follower's stream queue; overflow drops oldest events.
-        compact_on_start: after a clean-shutdown recovery, drop DONE
-            jobs' journal records (their results persist in the
-            content-addressed result cache).
-        drain_timeout_s: bound on waiting for leased work during drain.
-        clock: injected time source
-            (:class:`repro.service.fleet.clock.ClockSource`).  Every
-            piece of expiry math — lease TTLs, deferred-retry
-            eligibility, straggler detection, the drain deadline —
-            reads the *monotonic* side of this one source, so expiry
-            never jumps with NTP slews and tests drive it with
-            ``FakeClock`` instead of sleeping.
+        drain_timeout_s: bound on waiting for admitted work during drain.
+        clock: injected time source; all lease, backoff and hedge math
+            reads it, so tests drive expiry with ``FakeClock``.
+        shared_dir: a store shared with other daemons (``--fleet``).
+        worker: worker id, unique across the fleet (default ``local``
+            for a fleet of one — stable, so a restart re-enlists the
+            same id — and a generated id with ``shared_dir``).
+        registry_ttl_s: heartbeat TTL before peers treat this daemon as
+            dead and reclaim its units.
+        fault_gate: store-level partition injector (see FleetStore).
     """
 
     def __init__(
@@ -176,38 +199,37 @@ class KondoService:
         retry_policy: Optional[RetryPolicy] = None,
         lease_ttl_s: float = 30.0,
         default_deadline_s: float = DEFAULT_DEADLINE_S,
-        heartbeat_interval_s: Optional[float] = 1.0,
+        heartbeat_interval_s: float = 1.0,
         supervised: bool = True,
         job_runner: Optional[Callable[[dict], dict]] = None,
         shard_runner: Optional[Callable[..., dict]] = None,
         hedge_after_s: Optional[float] = None,
         event_buffer: int = 256,
-        compact_on_start: bool = False,
         drain_timeout_s: float = 60.0,
         clock: Optional[ClockSource] = None,
+        shared_dir: Optional[str] = None,
+        worker: Optional[str] = None,
+        registry_ttl_s: float = 10.0,
+        fault_gate: Optional[Callable[[], None]] = None,
     ):
-        if workers < 0:
-            raise ServiceError(f"workers must be >= 0, got {workers}")
-        if queue_limit < 1:
-            raise ServiceError(f"queue_limit must be >= 1, got {queue_limit}")
-        if default_deadline_s <= 0:
-            raise ServiceError(
-                f"default_deadline_s must be > 0, got {default_deadline_s}"
-            )
-        if drain_timeout_s <= 0:
-            raise ServiceError(
-                f"drain_timeout_s must be > 0, got {drain_timeout_s}"
-            )
-        if hedge_after_s is not None and hedge_after_s <= 0:
-            raise ServiceError(
-                f"hedge_after_s must be > 0, got {hedge_after_s}"
-            )
-        if event_buffer < 1:
-            raise ServiceError(
-                f"event_buffer must be >= 1, got {event_buffer}"
-            )
+        for name, value, low in (
+                ("workers", workers, 0), ("queue_limit", queue_limit, 1),
+                ("event_buffer", event_buffer, 1)):
+            if value < low:
+                raise FleetError(f"{name} must be >= {low}, got {value}")
+        for name, value in (
+                ("default_deadline_s", default_deadline_s),
+                ("drain_timeout_s", drain_timeout_s),
+                ("heartbeat_interval_s", heartbeat_interval_s),
+                ("hedge_after_s", hedge_after_s)):
+            if value is not None and value <= 0:
+                raise FleetError(f"{name} must be > 0, got {value}")
         self.state_dir = state_dir
         self.socket_path = socket_path or os.path.join(state_dir, SOCKET_NAME)
+        self.fleet = shared_dir is not None
+        self.store_dir = shared_dir if self.fleet else state_dir
+        self.worker = worker or (f"w-{uuid.uuid4().hex[:8]}" if self.fleet
+                                 else "local")
         self.workers = workers
         self.queue_limit = queue_limit
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
@@ -219,21 +241,31 @@ class KondoService:
         self.shard_runner = shard_runner or execute_shard
         self.hedge_after_s = hedge_after_s
         self.event_buffer = event_buffer
-        self.compact_on_start = compact_on_start
         self.drain_timeout_s = drain_timeout_s
-
         self.clock = clock or ClockSource()
-        self.store: Optional[JobStore] = None
-        self.leases = LeaseManager(ttl_s=lease_ttl_s,
-                                   clock=self.clock.monotonic)
-        self._queue: Optional[queue.Queue] = None
-        #: Deferred retries: (eligible_at_monotonic, item), lock-guarded.
-        self._deferred: List[Tuple[float, WorkItem]] = []
-        self._deferred_lock = threading.Lock()
-        #: Shards already hedged this lease generation (debounce).
+        self.registry = WorkerRegistry(self.store_dir, self.clock,
+                                       ttl_s=registry_ttl_s)
+        self.store = FleetStore(self.store_dir, self.worker, self.clock,
+                                registry=self.registry,
+                                lease_ttl_s=lease_ttl_s,
+                                fault_gate=fault_gate,
+                                retry_policy=self.retry_policy)
+
+        #: Last view of every job seen; a sealed job's view is final.
+        self._views: Dict[str, JobView] = {}
+        #: Running attempts per (job, unit), and how many claim loops
+        #: are mid-scan (a claim not yet running), both lock-guarded.
+        self._attempts: Dict[Tuple[str, int], List[_Attempt]] = {}
+        self._scanning = 0
+        self._attempts_lock = threading.Lock()
+        #: Completions that hit a partition mid-publish, replayed on
+        #: rejoin: [(claim, result)], lock-guarded.
+        self._parked: List[Tuple[ShardClaim, dict]] = []
+        self._parked_lock = threading.Lock()
+        #: (job, unit, token) leases already hedged (debounce).
         self._hedged: set = set()
         self._hedged_lock = threading.Lock()
-        #: Progress bus state: per-job event ring + seq, plus each live
+        #: Progress bus: per-job event ring + seq, plus each live
         #: follower's bounded queue — all under one lock, and every
         #: operation under it is non-blocking (drop-oldest on overflow).
         self._events: Dict[str, Deque[dict]] = {}
@@ -245,29 +277,27 @@ class KondoService:
         self._sock: Optional[socket.socket] = None
         self._stop = threading.Event()
         self._draining = threading.Event()
-        self._drained = threading.Event()
-        self._clock = self.clock.monotonic
+        self._partitioned = threading.Event()
+        #: Set by a local submit or completion so idle claim loops scan
+        #: at once instead of at their next tick.
+        self._wake = threading.Event()
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "KondoService":
-        """Open the store (recovering the queue), bind, spawn threads."""
-        if self.store is not None:
-            raise ServiceError("service already started")
-        self.store = JobStore.open(self.state_dir,
-                                   retries=self.retry_policy.retries)
-        if self.compact_on_start and self.store.clean_shutdown:
-            self.store.compact()
-        backlog = self._recovered_items()
-        # The run queue is the admission bound plus whatever recovery
-        # found — a restart never REJECTED-BUSYs its own backlog.  Each
-        # admitted job can expand into at most one item per shard plus
-        # hedges and a merge, hence the per-job fan-out factor.
-        fanout = 2 * DEFAULT_SLICES + 2
-        self._queue = queue.Queue(
-            maxsize=(self.queue_limit + len(backlog)) * fanout)
-        for item in backlog:
-            self._queue.put(item, timeout=TICK_S)
+        """Enlist in the store, bind the socket, spawn the loops."""
+        if self._sock is not None:
+            raise FleetError("service already started")
+        journal = os.path.join(self.state_dir, LEGACY_JOURNAL)
+        if os.path.exists(journal):
+            raise ServiceError(
+                f"{journal} is a job journal from an older kondo serve; "
+                f"this daemon keeps its state as store records and cannot "
+                f"read it — drain the old daemon and start in a fresh "
+                f"state directory")
+        os.makedirs(self.state_dir, exist_ok=True)
+        os.makedirs(self.store_dir, exist_ok=True)
+        self.store.enlist()
         if os.path.exists(self.socket_path):
             os.remove(self.socket_path)
         os.makedirs(os.path.dirname(self.socket_path) or ".", exist_ok=True)
@@ -275,34 +305,10 @@ class KondoService:
         self._sock.bind(self.socket_path)
         self._sock.listen(16)
         self._spawn(self._serve_loop, "kondo-serve-accept")
-        self._spawn(self._sweep_loop, "kondo-serve-sweeper")
+        self._spawn(self._heartbeat_loop, "kondo-serve-heartbeat")
         for i in range(self.workers):
-            self._spawn(lambda i=i: self._worker_loop(f"worker-{i}"),
-                        f"kondo-serve-worker-{i}")
+            self._spawn(self._claim_loop, f"kondo-serve-worker-{i}")
         return self
-
-    def _recovered_items(self) -> List[WorkItem]:
-        """The work items recovery owes: lost jobs, shards, and merges."""
-        items: List[WorkItem] = []
-        for v in self.store.all_views():
-            if v.spec.shards:
-                if v.state not in (QUEUED, RUNNING):
-                    continue
-                plan = plan_shards(v.spec)
-                pending = [
-                    i for i in range(plan.n_shards)
-                    if v.shards.get(i) is None
-                    or v.shards[i].state == QUEUED
-                ]
-                items.extend(("shard", v.job_id, i, False) for i in pending)
-                if not pending and v.shards and all(
-                        sv.state in (DONE, DEAD)
-                        for sv in v.shards.values()):
-                    # Crashed after the last shard but before the merge.
-                    items.append(("merge", v.job_id))
-            elif v.state == QUEUED:
-                items.append(("job", v.job_id))
-        return items
 
     def _spawn(self, target, name: str) -> None:
         t = threading.Thread(target=target, name=name, daemon=True)
@@ -310,29 +316,29 @@ class KondoService:
         self._threads.append(t)
 
     def drain(self) -> None:
-        """Graceful shutdown: stop admitting, finish leased work, seal.
+        """Graceful shutdown: stop admitting, let admitted work finish.
 
-        Returns once the clean ``shutdown`` marker is journaled (or the
-        drain timeout expired with work still leased — that requeues on
-        the next start, exactly like a crash, which is the graceful
-        degradation the timeout buys).
+        Returns once no attempt runs here and nothing this daemon could
+        claim or seal is left — or the drain timeout expired, in which
+        case whatever is left is reclaimed on the next start (or by a
+        peer), exactly like after a crash.
         """
         self._draining.set()
-        deadline = self._clock() + self.drain_timeout_s
-        while self._clock() < deadline:
-            if self.leases.count == 0 and self._queue_empty():
+        deadline = self.clock.monotonic() + self.drain_timeout_s
+        # Every check follows a tick, so requests already on their way
+        # are still answered (DRAINING) before the socket closes.
+        while not self._stop.wait(timeout=TICK_S):
+            if self._quiet() or self.clock.monotonic() >= deadline:
                 break
-            self._drained.wait(timeout=TICK_S)
-        if self.store is not None and not self.store.clean_shutdown:
-            self.store.record_shutdown()
-        self._shutdown_threads()
+        self._shutdown()
 
     def abort(self) -> None:
-        """Crash-style stop: no drain, no shutdown marker (chaos path)."""
+        """Crash-style stop (chaos path): from here on the daemon writes
+        nothing to the store, as if its process had died."""
         self._draining.set()
-        self._shutdown_threads()
+        self._shutdown()
 
-    def _shutdown_threads(self) -> None:
+    def _shutdown(self) -> None:
         self._stop.set()
         if self._sock is not None:
             try:
@@ -341,7 +347,7 @@ class KondoService:
                 pass
             self._sock = None
         for t in self._threads:
-            t.join(timeout=max(5.0, self.drain_timeout_s))
+            t.join(timeout=5.0)
         self._threads = []
         if os.path.exists(self.socket_path):
             try:
@@ -353,11 +359,109 @@ class KondoService:
         """Block until the daemon stops; True when it did."""
         return self._stop.wait(timeout=timeout_s)
 
-    def _queue_empty(self) -> bool:
-        with self._deferred_lock:
-            deferred = len(self._deferred)
-        return self._queue is not None and self._queue.empty() \
-            and deferred == 0
+    @property
+    def partitioned(self) -> bool:
+        return self._partitioned.is_set()
+
+    def _quiet(self) -> bool:
+        """Whether a drain has nothing left to wait for here."""
+        if self.workers == 0 or self.partitioned:
+            return True
+        with self._attempts_lock:
+            if self._attempts or self._scanning:
+                return False
+        try:
+            for job in self.store.jobs():
+                if self._sealed(job):
+                    continue
+                view = self._view(job)
+                states = [sv.state for sv in view.shards.values()] \
+                    if view is not None else []
+                if QUEUED in states or (states and all(
+                        s in (DONE, DEAD) for s in states)):
+                    return False
+        except OSError:
+            return True
+        return True
+
+    # -- store views ----------------------------------------------------------
+
+    def _view(self, job: str) -> Optional[JobView]:
+        """The job's current view; sealed jobs are served from memory,
+        and a partitioned daemon serves its last good view."""
+        view = self._views.get(job)
+        if view is not None and view.state in TERMINAL_STATES:
+            return view
+        if self.partitioned:
+            return view
+        try:
+            fresh = self.store.view(job)
+        except FleetError:
+            return None  # not a job key at all
+        except OSError:
+            self._enter_partition()
+            return view
+        if fresh is not None:
+            self._views[job] = fresh
+        return fresh
+
+    def _sealed(self, job: str) -> bool:
+        """Whether the job has its outcome or cancel record (cheaply)."""
+        view = self._views.get(job)
+        if view is not None and view.state in TERMINAL_STATES:
+            return True
+        if self.store.read_outcome(job) is None \
+                and self.store.read_cancel(job) is None:
+            return False
+        self._view(job)
+        return True
+
+    # -- partition handling -------------------------------------------------
+
+    def _enter_partition(self) -> None:
+        self._partitioned.set()
+
+    def _try_rejoin(self) -> bool:
+        """One rejoin probe: re-enlist (epoch bump) and replay parked
+        completions through the store's dedupe/fencing checks."""
+        try:
+            self.store.enlist()
+        except OSError:
+            return False
+        self._partitioned.clear()
+        with self._parked_lock:
+            parked, self._parked = self._parked, []
+        for claim, result in parked:
+            try:
+                self.store.publish_done(claim, result)
+            except StaleTokenError:
+                pass  # a newer owner took over while we were away
+            except OSError:
+                with self._parked_lock:
+                    self._parked.append((claim, result))
+                self._enter_partition()
+                return False
+        self._wake.set()
+        return True
+
+    def _heartbeat_loop(self) -> None:
+        attempt = 0
+        while not self._stop.is_set():
+            if self._partitioned.is_set():
+                attempt += 1
+                delay = backoff_delay_s(self.retry_policy,
+                                        f"{self.worker}:rejoin", attempt)
+                if self._stop.wait(timeout=max(delay, 0.01)):
+                    return
+                if self._try_rejoin():
+                    attempt = 0
+                continue
+            try:
+                self.store.heartbeat()
+            except OSError:
+                self._enter_partition()
+                continue
+            self._stop.wait(timeout=self.heartbeat_interval_s)
 
     # -- the progress bus ----------------------------------------------------
 
@@ -414,6 +518,15 @@ class KondoService:
                 if not followers:
                     self._followers.pop(job_id, None)
 
+    def _unit_event(self, spec: JobSpec, kind: str, shard: int,
+                    **fields) -> None:
+        """A unit event: ``shard-<kind>`` for a shard, ``<kind>`` for an
+        unsharded job's one unit."""
+        if spec.shards:
+            self._publish(spec.key, f"shard-{kind}", shard=shard, **fields)
+        else:
+            self._publish(spec.key, kind, **fields)
+
     # -- the socket front door ----------------------------------------------
 
     def _serve_loop(self) -> None:
@@ -465,6 +578,12 @@ class KondoService:
             response = self._dispatch(request)
         except JobRejectedError as exc:
             response = protocol.error(exc.code, str(exc))
+        except OSError:
+            self._enter_partition()
+            response = protocol.error(
+                protocol.PARTITIONED,
+                "campaign store unreachable; serving read-only",
+            )
         except KondoError as exc:
             response = protocol.error(protocol.BAD_REQUEST, str(exc))
         self._respond(conn, response)
@@ -479,11 +598,13 @@ class KondoService:
     def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
         if op == "ping":
+            partitioned = self.partitioned
             return protocol.ok(
-                draining=self._draining.is_set(),
-                outstanding=self.store.active_count(),
+                **self._identity(),
+                outstanding=None if partitioned else self._outstanding(),
                 workers=self.workers,
                 queue_limit=self.queue_limit,
+                members=None if partitioned else self.registry.live_map(),
             )
         if op == "submit":
             return self._op_submit(request)
@@ -491,6 +612,8 @@ class KondoService:
             return self._op_status(request)
         if op == "cancel":
             return self._op_cancel(request)
+        if op == "audit":
+            return self._op_audit(request)
         if op == "drain":
             # Ack first; the drain itself runs on a dedicated thread so
             # the requester is not held for the whole quiesce.
@@ -499,7 +622,15 @@ class KondoService:
             return protocol.ok(draining=True)
         raise JobRejectedError(f"unknown op {op!r}", code=protocol.BAD_REQUEST)
 
+    def _identity(self) -> dict:
+        return {"fleet": self.fleet, "worker": self.worker,
+                "epoch": self.store.epoch, "partitioned": self.partitioned,
+                "draining": self._draining.is_set()}
+
     # -- operations ---------------------------------------------------------
+
+    def _outstanding(self) -> int:
+        return sum(1 for job in self.store.jobs() if not self._sealed(job))
 
     def _op_submit(self, request: dict) -> dict:
         if self._draining.is_set():
@@ -507,88 +638,111 @@ class KondoService:
                 "daemon is draining; not admitting new jobs",
                 code=protocol.DRAINING,
             )
+        if self.partitioned:
+            raise JobRejectedError(
+                "campaign store unreachable; daemon is read-only until it "
+                "rejoins",
+                code=protocol.PARTITIONED,
+            )
         spec = JobSpec.from_json(request.get("spec"))
-        existing = self.store.view(spec.key)
-        if existing is not None and existing.state != CANCELLED:
+        existing = self._view(spec.key)
+        if existing is not None:
             # Dedupe: same (program, Θ, D) triple — serve what we have.
             return protocol.ok(job=spec.key, state=existing.state,
                                deduped=True, result=existing.result)
-        if existing is None:
-            # The journal may have been compacted since this key
-            # completed; the content-addressed result cache survives.
-            cached = self.store.cached_result(spec.key)
-            if cached is not None:
-                return protocol.ok(job=spec.key, state=DONE, deduped=True,
-                                   cached=True, result=cached)
-        # Admission control *before* journaling: a rejected job was
-        # never accepted, so the never-lose-an-accepted-job guarantee
-        # only ever covers journaled submissions.
-        if self.store.active_count() >= self.queue_limit:
+        # Admission control before the spec record lands: a rejected
+        # job was never accepted.
+        if self._outstanding() >= self.queue_limit:
             raise JobRejectedError(
                 f"queue is full ({self.queue_limit} outstanding jobs)",
                 code=protocol.REJECTED_BUSY,
             )
-        view, fresh = self.store.submit(spec)
-        if fresh and view.state == QUEUED:
-            self._publish(view.job_id, "submitted",
-                          shards=spec.shards or None)
-            if spec.shards:
-                plan = plan_shards(spec)
-                for i in range(plan.n_shards):
-                    self._enqueue(("shard", view.job_id, i, False))
-            else:
-                self._enqueue(("job", view.job_id))
-        return protocol.ok(job=view.job_id, state=view.state, deduped=False,
+        fresh = self.store.submit(spec)
+        if fresh:
+            self._publish(spec.key, "submitted", shards=spec.shards or None)
+            self._wake.set()
+        view = self._view(spec.key)
+        if view is None:
+            raise ServiceError(f"job {spec.key}'s spec record is unreadable")
+        return protocol.ok(job=spec.key, state=view.state, deduped=not fresh,
                            result=view.result)
 
     def _op_status(self, request: dict) -> dict:
-        job_id = request.get("job")
-        if job_id is None:
-            return protocol.ok(jobs=[v.to_json()
-                                     for v in self.store.all_views()],
-                               draining=self._draining.is_set())
-        view = self.store.view(job_id)
+        job = request.get("job")
+        if job is None:
+            try:
+                jobs = self.store.jobs() if not self.partitioned else []
+            except OSError:
+                self._enter_partition()
+                jobs = []
+            views = [self._view(j) for j in sorted(set(jobs) | set(
+                self._views))]
+            return protocol.ok(**self._identity(), jobs=[
+                self._status_entry(v) for v in views if v is not None])
+        view = self._view(job)
         if view is None:
-            raise JobRejectedError(f"unknown job {job_id}",
+            raise JobRejectedError(f"unknown job {job}",
                                    code=protocol.UNKNOWN_JOB)
+        return protocol.ok(**self._identity(), **self._status_entry(view))
+
+    def _status_entry(self, view: JobView) -> dict:
+        """The job's view plus the children this daemon runs for it."""
         out = view.to_json()
-        lease = self.leases.for_job(job_id)
-        out["child_pid"] = lease.child_pid if lease else None
-        if view.spec.shards:
-            for entry in out.get("shards", []):
-                live = self.leases.for_task(job_id, entry["shard"])
-                entry["child_pid"] = next(
-                    (l.child_pid for l in live if not l.hedge), None)
-                entry["hedge_child_pid"] = next(
-                    (l.child_pid for l in live if l.hedge), None)
-        return protocol.ok(**out)
+        with self._attempts_lock:
+            running = {shard: list(attempts) for (job, shard), attempts
+                       in self._attempts.items() if job == view.job_id}
+
+        def pid(shard: int, hedge: bool) -> Optional[int]:
+            return next((a.child_pid for a in running.get(shard, [])
+                         if a.hedge == hedge and a.child_pid), None)
+
+        primaries = [pid(s, False) for s in sorted(running)]
+        out["child_pid"] = next((p for p in primaries if p), None)
+        for entry in out.get("shards", []):
+            entry["child_pid"] = pid(entry["shard"], False)
+            entry["hedge_child_pid"] = pid(entry["shard"], True)
+        return out
 
     def _op_cancel(self, request: dict) -> dict:
-        job_id = request.get("job")
-        view = self.store.view(job_id) if job_id else None
+        job = request.get("job")
+        view = self._view(job) if job else None
         if view is None:
-            raise JobRejectedError(f"unknown job {job_id}",
+            raise JobRejectedError(f"unknown job {job}",
                                    code=protocol.UNKNOWN_JOB)
-        if view.state != QUEUED:
+        if view.state != QUEUED or not self.store.cancel(job):
             raise JobRejectedError(
-                f"job {job_id} is {view.state}; only queued jobs can be "
-                f"cancelled",
+                f"job {job} is {self._view(job).state}; only queued jobs "
+                f"can be cancelled",
                 code=protocol.NOT_CANCELLABLE,
             )
-        self.store.record_cancel(job_id)
-        self._publish(job_id, "cancelled")
-        return protocol.ok(job=job_id, state=view.state)
+        self._publish(job, CANCELLED)
+        return protocol.ok(job=job, state=self._view(job).state)
+
+    def _op_audit(self, request: dict) -> dict:
+        job = request.get("job")
+        if not job:
+            raise JobRejectedError("audit needs a job key",
+                                   code=protocol.BAD_REQUEST)
+        if self.partitioned:
+            raise JobRejectedError(
+                "campaign store unreachable; audit needs the store",
+                code=protocol.PARTITIONED,
+            )
+        return protocol.ok(job=job, **self.store.token_audit(job))
 
     def _op_follow(self, conn: socket.socket, request: dict) -> None:
-        """Stream a job's progress events until it reaches a terminal state.
+        """Stream a job's progress events; end on its terminal event.
 
         The stream reads only from this follower's bounded queue —
         workers publish through :meth:`_offer`, which drops oldest
         instead of blocking, so however slow this socket drains, no
-        worker ever waits on it.
+        worker ever waits on it.  The terminal event (``done``,
+        ``partial``, ``dead``, ``cancelled``) ends the stream at once;
+        a job sealed by a peer daemon publishes no local event, so an
+        idle stream also ends once the store shows the job sealed.
         """
         job_id = request.get("job")
-        view = self.store.view(job_id) if job_id else None
+        view = self._view(job_id) if job_id else None
         if view is None:
             self._respond(conn, protocol.error(protocol.UNKNOWN_JOB,
                                                f"unknown job {job_id}"))
@@ -597,11 +751,16 @@ class KondoService:
         try:
             self._respond(conn, protocol.ok(job=job_id, state=view.state))
             last_seq = 0
-            last_io = self._clock()
             for event in backlog:
                 self._send_line(conn, {"event": event})
                 last_seq = event["seq"]
-                last_io = self._clock()
+                if event["kind"] in TERMINAL_STATES:
+                    self._send_line(conn, {"end": event["kind"]})
+                    return
+            if view.state in TERMINAL_STATES:
+                self._send_line(conn, {"end": view.state})
+                return
+            last_io = self.clock.monotonic()
             while not self._stop.is_set():
                 try:
                     event = follower.get(timeout=TICK_S)
@@ -613,18 +772,21 @@ class KondoService:
                     if event["seq"] > last_seq:
                         self._send_line(conn, {"event": event})
                         last_seq = event["seq"]
-                        last_io = self._clock()
+                        last_io = self.clock.monotonic()
+                        if event["kind"] in TERMINAL_STATES:
+                            self._send_line(conn, {"end": event["kind"]})
+                            return
                     continue
-                state = getattr(self.store.view(job_id), "state", None)
+                state = getattr(self._view(job_id), "state", None)
                 if state in TERMINAL_STATES and follower.empty():
                     self._send_line(conn, {"end": state})
                     return
-                if self._clock() - last_io >= KEEPALIVE_S:
+                if self.clock.monotonic() - last_io >= KEEPALIVE_S:
                     self._send_line(
                         conn, {"event": {"kind": "keepalive",
                                          "job": job_id, "seq": last_seq}})
-                    last_io = self._clock()
-            state = getattr(self.store.view(job_id), "state", None)
+                    last_io = self.clock.monotonic()
+            state = getattr(self._view(job_id), "state", None)
             self._send_line(conn, {"end": state})
         except (OSError, ServiceProtocolError):
             return  # follower went away; nothing owed
@@ -637,341 +799,298 @@ class KondoService:
         conn.settimeout(protocol.DEFAULT_TIMEOUT_S)
         conn.sendall(data)
 
-    # -- workers ------------------------------------------------------------
+    # -- claim loops ---------------------------------------------------------
 
-    def _enqueue(self, item: WorkItem) -> None:
-        self._queue.put(item, timeout=self.drain_timeout_s)
-
-    def _worker_loop(self, worker: str) -> None:
+    def _claim_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                item = self._queue.get(timeout=TICK_S)
-            except queue.Empty:
+            if self._partitioned.is_set():
+                self._stop.wait(timeout=TICK_S)
                 continue
-            kind = item[0]
-            if kind == "job":
-                view = self.store.view(item[1])
-                if view is None or view.state != QUEUED:
-                    continue  # cancelled (or completed elsewhere) meanwhile
-                self._execute(worker, view)
-            elif kind == "shard":
-                self._execute_shard(worker, item[1], item[2], item[3])
-            elif kind == "merge":
-                self._merge(item[1])
+            self._wake.clear()
+            with self._attempts_lock:
+                self._scanning += 1
+            try:
+                worked = self._claim_once()
+            except OSError:
+                self._enter_partition()
+                continue
+            except InjectedFault:
+                raise  # a simulated crash must actually crash (chaos)
+            except KondoError:
+                # Backstop: no typed error may silently kill a claim
+                # loop — the daemon would keep heartbeating as healthy
+                # while never claiming again.  Treat it like an empty
+                # scan and retry after a tick.
+                self._stop.wait(timeout=TICK_S)
+                continue
+            finally:
+                with self._attempts_lock:
+                    self._scanning -= 1
+            if not worked:
+                self._wake.wait(timeout=TICK_S)
 
-    # -- legacy whole-job execution -----------------------------------------
+    def _claim_once(self) -> bool:
+        """One scheduling decision: claim, seal, or hedge.  True when
+        any work was done (the loop then rescans immediately)."""
+        for job in self.store.jobs():
+            if self._stop.is_set():
+                return False
+            if self._sealed(job):
+                continue
+            claim = self.store.claim_shard(job)
+            if claim is not None:
+                self._run_claim(claim)
+                return True
+            view = self._view(job)
+            if view is None:
+                continue
+            if self._maybe_seal(view):
+                return True
+            if self._maybe_hedge(view):
+                return True
+        return False
 
-    def _execute(self, worker: str, view: JobView) -> None:
-        job_id = view.job_id
-        try:
-            lease = self.leases.grant(job_id, worker)
-        except ServiceError:
-            return  # raced another worker; the winner runs it
-        try:
-            self.store.record_lease(job_id, lease.lease_id, worker)
-        except ServiceError:
-            # Cancelled (or otherwise moved on) between dequeue and
-            # lease — give the claim back and drop the work item.
-            self.leases.release(lease.lease_id)
+    def _run_claim(self, claim: ShardClaim) -> None:
+        spec = self.store.load_spec(claim.job)
+        if spec is None:
             return
-        self._publish(job_id, "leased", worker=worker)
-        deadline = view.spec.deadline_s or self.default_deadline_s
+        attempt = _Attempt(claim.job, claim.shard, claim,
+                           renewed_at=self.clock.monotonic())
+        self._unit_event(spec, "leased", claim.shard, worker=self.worker)
+        result, failure = self._attempt_unit(spec, attempt)
+        if failure is not None:
+            self._fail(spec, attempt.claim, *failure)
+            return
+        claim = attempt.claim
+        if self._stop.is_set():
+            return  # aborted: a dead daemon publishes nothing
+        if self.clock.wall() > claim.deadline_wall:
+            # The lease ran out before the result: a peer (or this
+            # daemon's next scan) may already be re-running the unit.
+            self._fail(spec, claim, LEASE_EXPIRED,
+                       f"completed after its lease (token {claim.token}) "
+                       f"expired")
+            return
         try:
-            result = self._run(view, lease, deadline)
+            landed = self.store.publish_done(claim, result)
+        except StaleTokenError:
+            return  # fenced: a newer owner holds the unit now
+        except OSError:
+            with self._parked_lock:
+                self._parked.append((claim, result))
+            self._enter_partition()
+            return
+        if landed:
+            self._landed(spec, claim.shard, result, hedge=False)
+
+    def _landed(self, spec: JobSpec, shard: int, result: dict,
+                hedge: bool) -> None:
+        """A completion of this daemon's landed: tell followers, kill
+        the local attempts it beat, and wake the loops to seal."""
+        if spec.shards:
+            self._publish(spec.key, "shard-done", shard=shard, hedge=hedge,
+                          n_indices=result.get("n_indices"))
+        with self._attempts_lock:
+            losers = list(self._attempts.get((spec.key, shard), []))
+        for loser in losers:
+            self._kill(loser)
+        self._wake.set()
+
+    def _attempt_unit(self, spec: JobSpec, attempt: _Attempt
+                      ) -> Tuple[Optional[dict], Optional[Tuple[str, str]]]:
+        """Run one unit attempt, registered for status and revocation.
+
+        Returns ``(result, None)``, or ``(None, (verdict, detail))``
+        with the attempt's RunVerdict (``EXCEPTION`` when the runner
+        raised).
+        """
+        key = (attempt.job, attempt.shard)
+        with self._attempts_lock:
+            self._attempts.setdefault(key, []).append(attempt)
+        try:
+            return self._call_runner(spec, attempt), None
         except SupervisedRunError as exc:
-            self._fail(job_id, lease.lease_id, exc.verdict or "FAILED",
-                       str(exc))
-            return
-        except KondoError as exc:
-            self._fail(job_id, lease.lease_id, "EXCEPTION",
-                       f"{type(exc).__name__}: {exc}")
-            return
-        # kondo: allow[KND003] every unexpected runner failure is routed
-        # into the store's journaled failure/dead-letter taxonomy below
+            return None, (exc.verdict or "FAILED", str(exc))
+        # kondo: allow[KND003] every runner failure becomes a typed
+        # verdict: a failure record for a primary, a lost race for a hedge
         except Exception as exc:  # noqa: BLE001
-            self._fail(job_id, lease.lease_id, "EXCEPTION",
-                       f"{type(exc).__name__}: {exc}")
-            return
-        accepted = self.store.record_complete(job_id, lease.lease_id, result)
-        self.leases.release(lease.lease_id)
-        if not accepted:
-            # Stale lease: the job moved on while we ran; drop the result.
-            return
-        self._publish(job_id, "done")
+            return None, ("EXCEPTION", f"{type(exc).__name__}: {exc}")
+        finally:
+            with self._attempts_lock:
+                live = self._attempts.get(key, [])
+                if attempt in live:
+                    live.remove(attempt)
+                if not live:
+                    self._attempts.pop(key, None)
 
-    def _run(self, view: JobView, lease, deadline_s: float) -> dict:
-        spec_json = view.spec.to_json()
+    def _call_runner(self, spec: JobSpec, attempt: _Attempt) -> dict:
+        spec_json = spec.to_json()
+        runner = self.shard_runner if spec.shards else self.job_runner
+        args = (spec_json, attempt.shard) if spec.shards else (spec_json,)
         if not self.supervised:
-            self.leases.heartbeat(lease.lease_id)
-            return self.job_runner(spec_json)
-        supervisor = Supervisor(
-            timeout_s=deadline_s,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            grace_s=1.0,
-            on_spawn=lambda pid: self.leases.set_child_pid(
-                lease.lease_id, pid),
-            on_heartbeat=lambda: self.leases.heartbeat(lease.lease_id),
-        )
-        return supervisor.bind(self.job_runner)(spec_json)
-
-    def _fail(self, job_id: str, lease_id: str, verdict: str,
-              detail: str) -> None:
-        self.leases.release(lease_id)
-        self.store.record_failure(job_id, lease_id, verdict, detail)
-        self._publish(job_id, "failed", verdict=verdict)
-        view = self.store.view(job_id)
-        if view is None or view.state != QUEUED:
-            if view is not None and view.state == DEAD:
-                self._publish(job_id, "dead", verdict=verdict)
-            return  # dead-lettered (or gone); no retry
-        delay = backoff_delay_s(self.retry_policy, job_id, view.attempts)
-        with self._deferred_lock:
-            self._deferred.append((self._clock() + delay, ("job", job_id)))
-
-    # -- sharded execution ---------------------------------------------------
-
-    def _execute_shard(self, worker: str, job_id: str, shard: int,
-                       hedge: bool) -> None:
-        view = self.store.view(job_id)
-        if view is None or view.state not in (QUEUED, RUNNING):
-            return  # cancelled / sealed meanwhile
-        sv = view.shards.get(shard)
-        if hedge:
-            if sv is None or sv.state != LEASED:
-                return  # the straggler finished (or died) already
-        elif sv is not None and sv.state != QUEUED:
-            return  # shard already owned or sealed
-        try:
-            lease = self.leases.grant(job_id, worker, shard=shard,
-                                      hedge=hedge)
-        except ServiceError:
-            return  # raced another worker (or the hedge is moot)
-        try:
-            self.store.record_shard_lease(job_id, shard, lease.lease_id,
-                                          worker, hedge=hedge)
-        except ServiceError:
-            self.leases.release(lease.lease_id)
-            return
-        self._publish(job_id, "shard-leased", shard=shard, worker=worker,
-                      hedge=hedge)
-        deadline = view.spec.deadline_s or self.default_deadline_s
-        try:
-            result = self._run_shard(view, lease, deadline, shard)
-        except SupervisedRunError as exc:
-            self._fail_shard(job_id, shard, lease.lease_id,
-                             exc.verdict or "FAILED", str(exc))
-            return
-        except KondoError as exc:
-            self._fail_shard(job_id, shard, lease.lease_id, "EXCEPTION",
-                             f"{type(exc).__name__}: {exc}")
-            return
-        # kondo: allow[KND003] same journaled-verdict routing as the
-        # whole-job path: no shard failure escapes the taxonomy
-        except Exception as exc:  # noqa: BLE001
-            self._fail_shard(job_id, shard, lease.lease_id, "EXCEPTION",
-                             f"{type(exc).__name__}: {exc}")
-            return
-        accepted = self.store.record_shard_done(job_id, shard,
-                                                lease.lease_id, result)
-        self.leases.release(lease.lease_id)
-        self._unhedge(job_id, shard)
-        if not accepted:
-            return  # the other of the primary/hedge pair won the race
-        self._publish(job_id, "shard-done", shard=shard, hedge=hedge,
-                      n_indices=result.get("n_indices"))
-        self._revoke_losers(job_id, shard)
-        self._maybe_merge(job_id)
-
-    def _run_shard(self, view: JobView, lease, deadline_s: float,
-                   shard: int) -> dict:
-        spec_json = view.spec.to_json()
-        job_id = view.job_id
-        if not self.supervised:
-            self.leases.heartbeat(lease.lease_id)
+            if not spec.shards:
+                return runner(*args)
 
             def progress(ev: dict) -> None:
                 fields = dict(ev)
                 kind = fields.pop("kind", "progress")
-                fields.setdefault("shard", shard)
-                self.leases.heartbeat(lease.lease_id)
-                self._publish(job_id, kind, **fields)
+                fields.setdefault("shard", attempt.shard)
+                self._renew(attempt)
+                self._publish(spec.key, kind, **fields)
 
-            return self.shard_runner(spec_json, shard, progress=progress)
-        supervisor = Supervisor(
-            timeout_s=deadline_s,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            grace_s=1.0,
-            on_spawn=lambda pid: self.leases.set_child_pid(
-                lease.lease_id, pid),
+            return runner(*args, progress=progress)
+
+        def on_spawn(pid: int) -> None:
+            attempt.child_pid = pid
+
+        def on_heartbeat() -> None:
             # Per-iteration callbacks cannot cross the fork boundary;
-            # the child's heartbeats double as liveness progress events.
-            on_heartbeat=lambda: (
-                self.leases.heartbeat(lease.lease_id),
-                self._publish(job_id, "shard-alive", shard=shard),
-            ),
+            # the child's heartbeats renew the lease and double as
+            # liveness progress events.
+            self._renew(attempt)
+            if spec.shards:
+                self._publish(spec.key, "shard-alive", shard=attempt.shard)
+
+        supervisor = Supervisor(
+            timeout_s=spec.deadline_s or self.default_deadline_s,
+            heartbeat_interval_s=self.heartbeat_interval_s,
+            grace_s=1.0, on_spawn=on_spawn, on_heartbeat=on_heartbeat,
         )
-        return supervisor.bind(self.shard_runner)(spec_json, shard)
+        return supervisor.bind(runner)(*args)
 
-    def _fail_shard(self, job_id: str, shard: int, lease_id: str,
-                    verdict: str, detail: str) -> None:
-        self.leases.release(lease_id)
-        state = self.store.record_shard_failure(job_id, shard, lease_id,
-                                                verdict, detail)
-        self._publish(job_id, "shard-failed", shard=shard, verdict=verdict)
-        if state != LEASED:
-            # The shard's lease generation ended; a future straggler
-            # scan may hedge the next one.
-            self._unhedge(job_id, shard)
-        if state == QUEUED:
-            view = self.store.view(job_id)
-            sv = view.shards.get(shard) if view is not None else None
-            attempts = sv.attempts if sv is not None else 1
-            delay = backoff_delay_s(self.retry_policy,
-                                    f"{job_id}/s{shard}", attempts)
-            with self._deferred_lock:
-                self._deferred.append(
-                    (self._clock() + delay,
-                     ("shard", job_id, shard, False)))
-        elif state == DEAD:
-            self._publish(job_id, "shard-dead", shard=shard, verdict=verdict)
-            self._maybe_merge(job_id)
-        # state == "leased": the other of the primary/hedge pair is
-        # still running the shard — no requeue, nothing more to do.
+    def _renew(self, attempt: _Attempt) -> None:
+        """Keep a running attempt's lease fresh; kill it once fenced.
 
-    def _revoke_losers(self, job_id: str, shard: int) -> None:
-        """Kill the leases (and children) still racing a sealed shard.
-
-        Release-before-kill ordering matters: once the loser's lease is
-        gone, its SIGKILL-induced failure is stale-ignored by the store,
-        so a revoked hedge never burns the shard's retry budget.
+        Every beat checks the token (a directory listing); the lease
+        record itself is rewritten only every quarter TTL.  A primary
+        whose unit was sealed under a newer token — a hedge won, or a
+        peer reclaimed it — has its child killed at once.
         """
-        for loser in self.leases.for_task(job_id, shard):
-            self.leases.release(loser.lease_id)
-            if loser.child_pid:
-                try:
-                    os.kill(loser.child_pid, signal.SIGKILL)
-                except (OSError, ProcessLookupError):
-                    pass
-        self._unhedge(job_id, shard)
-
-    def _unhedge(self, job_id: str, shard: int) -> None:
-        with self._hedged_lock:
-            self._hedged.discard((job_id, shard))
-
-    def _maybe_merge(self, job_id: str) -> None:
-        """Enqueue the merge once every shard is sealed (DONE or DEAD).
-
-        Duplicate merge items are benign: the store's terminal-seal
-        guard accepts only the first, and the merge is deterministic.
-        """
-        view = self.store.view(job_id)
-        if view is None or view.state != RUNNING:
-            return
-        plan = plan_shards(view.spec)
-        for i in range(plan.n_shards):
-            sv = view.shards.get(i)
-            if sv is None or sv.state not in (DONE, DEAD):
-                return
-        self._enqueue(("merge", job_id))
-
-    def _merge(self, job_id: str) -> None:
-        """The deterministic merge stage: union clouds, re-carve, seal."""
-        view = self.store.view(job_id)
-        if view is None or view.state != RUNNING:
-            return  # already sealed by an earlier merge item
-        plan = plan_shards(view.spec)
-        done = {i: sv.result for i, sv in view.shards.items()
-                if sv.state == DONE and sv.result is not None}
-        dead = sorted(i for i, sv in view.shards.items()
-                      if sv.state == DEAD)
-        if not done:
-            if self.store.record_job_dead(job_id, "ALL-SHARDS-DEAD"):
-                self._publish(job_id, "dead", verdict="ALL-SHARDS-DEAD")
+        if attempt.claim is None or self._stop.is_set():
             return
         try:
-            if dead:
-                missing = missing_theta_manifest(plan, dead)
-                result = merge_shard_results(view.spec, done,
-                                             missing=missing)
-                if self.store.record_partial(job_id, result):
-                    self._publish(job_id, "partial", missing_shards=dead)
-            else:
-                result = merge_shard_results(view.spec, done)
-                if self.store.record_merge(job_id, result):
-                    self._publish(job_id, "done",
-                                  n_shards=plan.n_shards)
-        # kondo: allow[KND003] a merge failure dead-letters the job with
-        # a typed verdict instead of wedging it in RUNNING forever
-        except Exception as exc:  # noqa: BLE001
-            if self.store.record_job_dead(job_id, "MERGE-FAILED"):
-                self._publish(job_id, "dead", verdict="MERGE-FAILED",
-                              detail=f"{type(exc).__name__}: {exc}")
+            self.store.check_current(attempt.claim)
+            now = self.clock.monotonic()
+            if now - attempt.renewed_at >= self.lease_ttl_s / 4:
+                attempt.claim = self.store.renew(attempt.claim)
+                attempt.renewed_at = now
+        except StaleTokenError:
+            self._kill(attempt)
+        except OSError:
+            self._enter_partition()
 
-    # -- the sweeper --------------------------------------------------------
+    @staticmethod
+    def _kill(attempt: _Attempt) -> None:
+        if attempt.child_pid:
+            try:
+                os.kill(attempt.child_pid, signal.SIGKILL)
+            except OSError:
+                pass
 
-    def _sweep_loop(self) -> None:
-        while not self._stop.is_set():
-            self._stop.wait(timeout=TICK_S)
-            # Expired leases: the worker (or its child) went silent.
-            for lease in self.leases.expired():
-                detail = (
-                    f"lease {lease.lease_id} of worker {lease.worker} "
-                    f"expired after {self.lease_ttl_s}s without a "
-                    f"heartbeat"
-                )
-                if lease.shard is not None:
-                    self._fail_shard(lease.job_id, lease.shard,
-                                     lease.lease_id, "LEASE-EXPIRED",
-                                     detail)
-                    continue
-                self.store.record_failure(lease.job_id, lease.lease_id,
-                                          "LEASE-EXPIRED", detail)
-                self._publish(lease.job_id, "failed",
-                              verdict="LEASE-EXPIRED")
-                view = self.store.view(lease.job_id)
-                if view is not None and view.state == QUEUED:
-                    delay = backoff_delay_s(self.retry_policy,
-                                            lease.job_id, view.attempts)
-                    with self._deferred_lock:
-                        self._deferred.append(
-                            (self._clock() + delay,
-                             ("job", lease.job_id)))
-            self._sweep_stragglers()
-            # Deferred retries whose backoff elapsed.
-            now = self._clock()
-            with self._deferred_lock:
-                due = [item for t, item in self._deferred if t <= now]
-                self._deferred = [(t, item) for t, item in self._deferred
-                                  if t > now]
-            for item in due:
-                self._enqueue(item)
-            if self._draining.is_set() and self.leases.count == 0 \
-                    and self._queue_empty():
-                self._drained.set()
+    def _fail(self, spec: JobSpec, claim: ShardClaim, verdict: str,
+              detail: str) -> None:
+        if self._stop.is_set():
+            return  # aborted: a dead daemon records nothing
+        try:
+            state = self.store.record_failure(claim, verdict, detail)
+        except OSError:
+            self._enter_partition()
+            return
+        if state is None:
+            return  # fenced or already complete: no budget burned
+        self._unit_event(spec, "failed", claim.shard, verdict=verdict)
+        if state == DEAD and spec.shards:
+            self._publish(spec.key, "shard-dead", shard=claim.shard,
+                          verdict=verdict)
+        self._wake.set()
 
-    def _sweep_stragglers(self) -> None:
-        """Hedge shards still on their first lease past ``hedge_after_s``.
+    # -- sealing -------------------------------------------------------------
 
-        One hedge per lease generation (the ``_hedged`` debounce clears
-        when the shard's leases end), and only when exactly one
-        non-hedge lease holds the shard — a shard already racing its
-        hedge is left alone.
+    def _maybe_seal(self, view: JobView) -> bool:
+        """Seal the job once every unit is done or dead.
+
+        An unsharded job's outcome is its unit's result; a sharded job
+        merges its shards — DONE when all completed, PARTIAL (with the
+        missing-Θ manifest) when some dead-lettered, DEAD when all did.
+        The outcome record is first-writer-wins and the merge is
+        deterministic, so racing sealers agree.
+        """
+        units = view.shards
+        if view.state in TERMINAL_STATES or any(
+                sv.state not in (DONE, DEAD) for sv in units.values()):
+            return False
+        spec = view.spec
+        done = {i: sv.result for i, sv in units.items() if sv.state == DONE}
+        dead = sorted(i for i, sv in units.items() if sv.state == DEAD)
+        token = max([sv.token or 1 for sv in units.values()] + [1])
+        fields: dict = {}
+        verdict = None
+        if not done:
+            state, result = DEAD, None
+            verdict = ("ALL-SHARDS-DEAD" if spec.shards
+                       else (units[0].verdicts or ["FAILED"])[-1])
+            fields = {"verdict": verdict}
+        elif not spec.shards:
+            state, result = DONE, done[0]
+        else:
+            try:
+                missing = (missing_theta_manifest(plan_shards(spec), dead)
+                           if dead else None)
+                result = merge_shard_results(spec, done, missing=missing)
+                state = PARTIAL if dead else DONE
+                fields = ({"missing_shards": dead} if dead
+                          else {"n_shards": len(units)})
+            # kondo: allow[KND003] a merge failure dead-letters the job
+            # with a typed verdict instead of wedging it forever
+            except Exception as exc:  # noqa: BLE001
+                state, result, verdict = DEAD, None, "MERGE-FAILED"
+                fields = {"verdict": verdict,
+                          "detail": f"{type(exc).__name__}: {exc}"}
+        landed = self.store.publish_result(view.job_id, result, token,
+                                           state, verdict)
+        if landed:
+            self._publish(view.job_id, state, **fields)
+        return landed
+
+    # -- hedging -------------------------------------------------------------
+
+    def _maybe_hedge(self, view: JobView) -> bool:
+        """Race one straggling unit (claim-on-completion).
+
+        A unit straggles when its current lease is older than
+        ``hedge_after_s`` but not reclaimable (the owner — a peer, or
+        another of this daemon's loops — is alive and renewing, just
+        slow).  The hedge runs without a claim and claims a token only
+        to publish, so a healthy primary is never fenced mid-run;
+        whoever lands first wins, and the loser is deduped or fenced
+        (its child killed on its next renewal).
         """
         if self.hedge_after_s is None or self._draining.is_set():
-            return
-        now = self._clock()
-        for lease in self.leases.snapshot():
-            if lease.shard is None or lease.hedge:
+            return False
+        for shard, sv in sorted(view.shards.items()):
+            if sv.token is None or sv.state in (DONE, DEAD):
                 continue
-            if now - lease.granted_at < self.hedge_after_s:
+            lease = self.store.read_lease(view.job_id, shard)
+            if lease is None or int(lease.get("token", 0)) != sv.token:
                 continue
-            if len(self.leases.for_task(lease.job_id, lease.shard)) != 1:
+            granted = float(lease.get("granted_wall", 0.0))
+            if self.clock.wall() - granted < self.hedge_after_s:
                 continue
-            key = (lease.job_id, lease.shard)
+            key = (view.job_id, shard, sv.token)
             with self._hedged_lock:
                 if key in self._hedged:
                     continue
                 self._hedged.add(key)
-            self._publish(lease.job_id, "shard-hedged", shard=lease.shard,
-                          straggler_worker=lease.worker)
-            self._enqueue(("shard", lease.job_id, lease.shard, True))
+            self._hedge(view.spec, shard, str(lease.get("worker", "")))
+            return True
+        return False
+
+    def _hedge(self, spec: JobSpec, shard: int, straggler: str) -> None:
+        self._publish(spec.key, "shard-hedged", shard=shard,
+                      straggler_worker=straggler)
+        result, failure = self._attempt_unit(spec, _Attempt(spec.key, shard))
+        if failure is not None or self._stop.is_set():
+            return  # a failed hedge is a lost race, never a unit failure
+        claim = self.store.hedge_publish(spec.key, shard, result)
+        if claim is not None:
+            self._landed(spec, shard, result, hedge=True)

@@ -1,8 +1,9 @@
-"""Multi-host campaign fleet: fenced leases over a shared store.
+"""The campaign store: fenced leases over a (possibly shared) directory.
 
-Any number of ``kondo serve --fleet <dir>`` daemons cooperate through
-one shared filesystem directory — no leader, no peer connections.  The
-protocol is three ideas stacked:
+Every ``kondo serve`` daemon keeps its state in a store directory — its
+own state directory for a fleet of one, or one shared directory that
+any number of ``--fleet <dir>`` daemons cooperate through, with no
+leader and no peer connections.  The protocol is three ideas stacked:
 
 * **fencing tokens** (:mod:`.store`): shard ownership is a
   monotonically increasing token claimed by exclusive create; every
@@ -15,10 +16,9 @@ protocol is three ideas stacked:
   intervals, wall + bounded skew allowance for anything compared
   across hosts.
 
-The merged campaign result is bit-identical to the single-host
-unsharded run for every fleet size, crash, partition, and hedge
-outcome — fencing protects the bookkeeping, PR 9's deterministic shard
-execution protects the output.
+The merged campaign result is bit-identical for every fleet size,
+crash, partition, and hedge outcome — fencing protects the bookkeeping,
+deterministic unit execution protects the output.
 """
 
 from repro.service.fleet.clock import (
@@ -27,7 +27,6 @@ from repro.service.fleet.clock import (
     FakeClock,
     SkewedClock,
 )
-from repro.service.fleet.daemon import FLEET_SOCKET_NAME, FleetService
 from repro.service.fleet.fencing import (
     append_sealed,
     create_sealed_exclusive,
@@ -43,8 +42,6 @@ __all__ = [
     "ClockSource",
     "FakeClock",
     "SkewedClock",
-    "FLEET_SOCKET_NAME",
-    "FleetService",
     "FleetStore",
     "ShardClaim",
     "WorkerRecord",

@@ -1,7 +1,7 @@
 """Fleet timekeeping: one injected clock source, two kinds of time.
 
-Lease-expiry math is the fleet's most failure-prone arithmetic, and the
-single-host orchestrator showed why it must never mix clock kinds:
+Lease-expiry math is the service's most failure-prone arithmetic, and
+it must never mix clock kinds:
 
 * **interval questions** ("has this local lease gone ``ttl`` seconds
   without a heartbeat?") belong to the **monotonic** clock — it never

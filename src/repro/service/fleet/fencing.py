@@ -1,7 +1,8 @@
-"""Token-stamped, CRC-sealed writes to the shared fleet store.
+"""Token-stamped, CRC-sealed writes to the campaign store.
 
-Every byte the fleet ever puts into the shared directory flows through
-this module (KND015 enforces that statically).  Three primitives cover
+Every byte the service ever puts into its store — a daemon's own state
+directory or a fleet's shared one — flows through this module (KND015
+enforces that statically).  Three primitives cover
 the whole protocol, each built on a different atomicity guarantee of a
 POSIX filesystem:
 
@@ -10,18 +11,19 @@ POSIX filesystem:
   reader concurrently opening the path sees the old record or the new
   one, never a hybrid.  Used for re-writable records (lease renewals,
   heartbeats, registration).
-* :func:`create_sealed_exclusive` — ``O_CREAT|O_EXCL``: exactly one of
-  any number of racing writers wins the path.  This is the fleet's
-  compare-and-swap — fencing-token claims, shard completions, and the
-  merged result are all first-writer-wins records, so a partitioned
+* :func:`create_sealed_exclusive` — write a private temporary file,
+  then ``link`` it to the name: exactly one of any number of racing
+  writers wins the path, and the name never holds a torn record.  This is the store's
+  compare-and-swap — fencing-token claims, failure and dead-letter
+  records, unit completions, cancels, and the outcome are all
+  first-writer-wins records, so a partitioned
   worker coming back from the dead can *race* but never *clobber*.
 * :func:`append_sealed` — ``durable_append``: the per-daemon audit
   trail of fenced events, torn-tail-tolerant like every journal in this
   tree.
 
-Records are sealed with the same CRC32 line discipline as the PR 4
-bundle journal and the PR 7 job store
-(:mod:`repro.resilience.durability.records`); :func:`read_sealed`
+Records are sealed with the same CRC32 line discipline as the bundle
+journal (:mod:`repro.resilience.durability.records`); :func:`read_sealed`
 degrades a missing, torn, or corrupt record to ``None`` — absent, never
 wrong.  :func:`stamp` is the token-stamping half of the contract: every
 record that mutates shard state carries ``(job, shard, token, worker,
@@ -32,6 +34,7 @@ on.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Optional
 
 from repro.errors import FleetError
@@ -69,21 +72,29 @@ def create_sealed_exclusive(path: str, record: dict) -> bool:
     """First-writer-wins: create ``path`` with a sealed record.
 
     Returns ``True`` when this call created the file, ``False`` when it
-    already existed (some racer won).  The write itself is still
-    crash-safe — the bytes are fsynced before the exclusive name is
-    made durable by the directory fsync, and a reader finding a torn
-    record (daemon died mid-write) reads it back as absent via
-    :func:`read_sealed`.
+    already existed (some racer won).  The record is written and
+    fsynced under a private temporary name and then hard-linked into
+    place — ``link`` fails if the name exists, so it is the exclusive
+    create — which means the name never holds a torn record: a writer
+    that dies mid-write leaves only its temporary file, and the name
+    stays free for the next writer.  The directory fsync makes the name
+    durable.
     """
+    # Private to this thread: a leftover from its own failed write is
+    # simply overwritten.
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        try:
+            os.write(fd, seal_record(record))
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.link(tmp, path)
     except FileExistsError:
         return False
-    try:
-        os.write(fd, seal_record(record))
-        os.fsync(fd)
     finally:
-        os.close(fd)
+        os.unlink(tmp)
     fsync_dir(os.path.dirname(path) or ".")
     return True
 

@@ -1,48 +1,58 @@
-"""The shared fleet store: fenced shard leases over a plain filesystem.
+"""The campaign store: fenced unit leases over a plain filesystem.
 
-Any number of ``kondo serve --fleet <dir>`` daemons coordinate through
-one shared directory with **no server in the middle** — every mutation
+Every ``kondo serve`` daemon keeps its state here — a fleet of one in
+its own state directory, or any number of ``--fleet <dir>`` daemons in
+one shared directory with **no server in the middle**.  Every mutation
 is either an atomic rename (rewritable records) or an exclusive create
 (first-writer-wins records), both via :mod:`repro.service.fleet.fencing`.
 
-Layout, per job ``<key>`` under ``<shared>/jobs/<key>/``::
+A job is a set of **units**: shard ``i`` of a sharded job, or the one
+unit ``0`` of an unsharded job.  Layout, per job ``<key>`` under
+``<store>/jobs/<key>/``::
 
     spec.json            the submitted JobSpec (exclusive create = dedupe)
     tokens/s<i>.t<N>     fencing-token claim markers (exclusive create)
     leases/s<i>.t<N>.rec lease record for token N (atomic rename)
-    done/s<i>.rec        shard completion (exclusive create — at most one)
-    result.rec           merged campaign result (exclusive create)
+    failed/s<i>.t<N>.rec the attempt under token N failed (exclusive)
+    dead/s<i>.rec        the unit exhausted its retries (exclusive)
+    done/s<i>.rec        unit completion (exclusive create — at most one)
+    cancel.rec           the job was cancelled before any unit ran
+    result.rec           the job's outcome: done, partial or dead
 
-Lease records are **per token**: a renewal rewrites only its own
-token's path, so a worker whose renew lost a race to a newer claimant
-can never clobber the newer owner's lease — different tokens touch
-different files, and the staleness check makes the loser fail whole.
-
-plus ``<shared>/workers/`` (the registry) and
-``<shared>/events/<worker>.events`` — each daemon's token-stamped,
+plus ``<store>/workers/`` (the registry) and
+``<store>/events/<worker>.events`` — each daemon's token-stamped,
 append-only trail of fenced operations, which is what the token audit
 and the double-execution check read back.
 
-**The fencing-token protocol.**  The current token of a shard is the
-highest ``N`` among its claim markers; claiming the shard means winning
+**State is derived from records, never folded from a journal.**  A
+unit is done with a ``done`` record, dead with a ``dead`` record,
+leased while its current token has a lease and no failure record, and
+queued otherwise; its attempt count is the number of its failure
+records.  A job is sealed by ``result.rec`` or ``cancel.rec``; neither
+ever changes once written, so a reader may cache a sealed job forever.
+
+Lease records are **per token**: a renewal rewrites only its own
+token's path, so a worker whose renew lost a race to a newer claimant
+can never clobber the newer owner's lease.
+
+**The fencing-token protocol.**  The current token of a unit is the
+highest ``N`` among its claim markers; claiming the unit means winning
 the exclusive create of marker ``N+1`` and then renaming a lease record
 carrying that token into place.  Three consequences do all the work:
 
 * two daemons racing a reclaim cannot both win — the marker create is
   the compare-and-swap;
 * a daemon that dies between claiming the marker and writing the lease
-  leaves an *orphaned claim* (marker > lease token), which every other
-  daemon treats as immediately reclaimable — no TTL wait;
+  leaves an *orphaned claim* (marker > lease token), which every daemon
+  treats as immediately reclaimable — no TTL wait;
 * a completion is only accepted while its token is still the current
   one (:class:`repro.errors.StaleTokenError` otherwise), and lands via
   exclusive create — so a paused or partitioned worker coming back
   from the dead can never clobber a newer owner's result.  There is a
   benign check-then-create window (a newer token can be claimed between
   the staleness check and the create); the exclusive create still
-  admits exactly one completion, and shard execution is deterministic
-  (PR 9), so whichever completion lands is bit-identical to the one it
-  beat.  Fencing protects the bookkeeping; determinism protects the
-  output.
+  admits exactly one completion, and unit execution is deterministic,
+  so whichever completion lands is bit-identical to the one it beat.
 
 Partition injection for tests and chaos drills goes through
 ``fault_gate``: a callable invoked at the top of every store operation
@@ -54,11 +64,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import FleetError, StaleTokenError
 from repro.resilience.durability.records import parse_log
+from repro.resilience.retry import RetryPolicy
 from repro.service.fleet.clock import ClockSource
 from repro.service.fleet.fencing import (
     append_sealed,
@@ -68,22 +79,47 @@ from repro.service.fleet.fencing import (
     stamp,
 )
 from repro.service.fleet.registry import WorkerRegistry
-from repro.service.jobs import JobSpec
+from repro.service.jobs import (
+    CANCELLED,
+    DEAD,
+    DONE,
+    LEASED,
+    QUEUED,
+    RUNNING,
+    JobSpec,
+    JobView,
+    ShardView,
+    backoff_delay_s,
+)
 from repro.service.shards import plan_shards
 
 JOBS_DIR = "jobs"
 EVENTS_DIR = "events"
 
-#: Token claim markers: ``s<shard>.t<token>``.
-_TOKEN_RE = re.compile(r"^s(?P<shard>\d{3})\.t(?P<token>\d{6})$")
+#: Per-unit record directories of one job.
+_UNIT_DIRS = ("tokens", "leases", "failed", "dead", "done")
+
+#: Token claim markers ``s<unit>.t<token>``; failure records add ``.rec``.
+_TOKEN_RE = re.compile(r"^s(?P<shard>\d{3})\.t(?P<token>\d{6})(\.rec)?$")
 
 #: Job keys are hex prefixes of SHA-256 (see JobSpec.key).
 _JOB_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
+#: The fencing identity :func:`stamp` adds to every record.
+STAMP_FIELDS = ("job", "shard", "token", "worker", "epoch")
+
+#: Verdict of an attempt whose lease ran out before it completed.
+LEASE_EXPIRED = "LEASE-EXPIRED"
+
+
+def unstamp(record: dict) -> dict:
+    """A record without the fencing identity :func:`stamp` added."""
+    return {k: v for k, v in record.items() if k not in STAMP_FIELDS}
+
 
 @dataclass(frozen=True)
 class ShardClaim:
-    """A granted shard lease: who may run it, under which token."""
+    """A granted unit lease: who may run it, under which token."""
 
     job: str
     shard: int
@@ -91,25 +127,30 @@ class ShardClaim:
     worker: str
     epoch: int
     deadline_wall: float
+    granted_wall: float = 0.0
 
 
 class FleetStore:
-    """One daemon's handle on the shared fleet directory.
+    """One daemon's handle on a campaign store directory.
 
     Args:
-        shared_dir: the fleet's shared store root.
+        shared_dir: the store root (a daemon's state directory, or the
+            fleet's shared directory).
         worker: this daemon's worker id (stamps every write).
         clock: injected time source; all expiry math flows through it.
         registry: the worker registry (dead-owner reclaim consults it).
-        lease_ttl_s: shard lease lifetime; renewals push the deadline.
+        lease_ttl_s: unit lease lifetime; renewals push the deadline.
         fault_gate: optional callable raising :class:`OSError` to
-            simulate the shared store becoming unreachable.
+            simulate the store becoming unreachable.
+        retry_policy: per-unit retry budget and backoff shape; a unit
+            dead-letters after ``retries + 1`` failed attempts.
     """
 
     def __init__(self, shared_dir: str, worker: str, clock: ClockSource,
                  registry: Optional[WorkerRegistry] = None,
                  lease_ttl_s: float = 10.0,
-                 fault_gate: Optional[Callable[[], None]] = None):
+                 fault_gate: Optional[Callable[[], None]] = None,
+                 retry_policy: Optional[RetryPolicy] = None):
         if lease_ttl_s <= 0:
             raise FleetError(f"lease_ttl_s must be > 0, got {lease_ttl_s}")
         self.shared_dir = shared_dir
@@ -117,6 +158,7 @@ class FleetStore:
         self.clock = clock
         self.registry = registry
         self.lease_ttl_s = lease_ttl_s
+        self.retry_policy = retry_policy or RetryPolicy(retries=2)
         self._fault_gate = fault_gate
         self.epoch = 0
 
@@ -131,15 +173,17 @@ class FleetStore:
             raise FleetError(f"bad job key {job!r}")
         return os.path.join(self.shared_dir, JOBS_DIR, job)
 
-    def _tokens_dir(self, job: str) -> str:
-        return os.path.join(self._job_dir(job), "tokens")
+    def _unit_path(self, job: str, kind: str, shard: int,
+                   token: Optional[int] = None, ext: str = ".rec") -> str:
+        name = f"s{shard:03d}" if token is None else \
+            f"s{shard:03d}.t{token:06d}"
+        return os.path.join(self._job_dir(job), kind, name + ext)
 
     def _lease_path(self, job: str, shard: int, token: int) -> str:
-        return os.path.join(self._job_dir(job), "leases",
-                            f"s{shard:03d}.t{token:06d}.rec")
+        return self._unit_path(job, "leases", shard, token)
 
     def _done_path(self, job: str, shard: int) -> str:
-        return os.path.join(self._job_dir(job), "done", f"s{shard:03d}.rec")
+        return self._unit_path(job, "done", shard)
 
     def _events_path(self) -> str:
         return os.path.join(self.shared_dir, EVENTS_DIR,
@@ -154,15 +198,20 @@ class FleetStore:
             worker=self.worker, epoch=self.epoch,
         ))
 
+    def _stamp(self, record: dict, job: str, shard: Optional[int],
+               token: int) -> dict:
+        return stamp(record, job=job, shard=shard, token=max(1, token),
+                     worker=self.worker, epoch=self.epoch)
+
     # -- membership ----------------------------------------------------------
 
     def enlist(self) -> int:
         """Register (or re-register) with the fleet; returns the epoch.
 
-        Re-joining after a partition bumps the epoch, which fences out
-        any completion the pre-partition incarnation still has in
-        flight (the claim path compares lease epochs against the
-        registry's current one).
+        Re-joining after a partition or a restart bumps the epoch,
+        which fences out every lease the previous incarnation still
+        holds (the claim path compares lease epochs against the
+        registry's current one, this daemon's own included).
         """
         self._gate()
         if self.registry is None:
@@ -179,18 +228,16 @@ class FleetStore:
     # -- submission ----------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> bool:
-        """Admit a job to the fleet; ``False`` when already submitted.
+        """Admit a job; ``False`` when it was already submitted.
 
         The spec record is first-writer-wins on the content-addressed
         key, so every daemon a client might reach admits the same job
         exactly once — resubmission anywhere is a dedupe, not a fork.
         """
         self._gate()
-        if not spec.shards:
-            raise FleetError("fleet jobs must be sharded (spec.shards >= 1)")
         job = spec.key
         jdir = self._job_dir(job)
-        for sub in ("tokens", "leases", "done"):
+        for sub in _UNIT_DIRS:
             os.makedirs(os.path.join(jdir, sub), exist_ok=True)
         created = create_sealed_exclusive(
             os.path.join(jdir, "spec.json"), {"spec": spec.to_json()})
@@ -216,125 +263,192 @@ class FleetStore:
 
     # -- fencing tokens ------------------------------------------------------
 
-    def current_token(self, job: str, shard: int) -> int:
-        """The highest token ever granted for the shard (0 = none).
+    def _scan(self, job: str, kind: str) -> Dict[int, List[int]]:
+        """``{unit: [tokens ascending]}`` from one per-token directory.
 
-        Only a verifiably absent tokens directory reads as "no tokens";
-        any other :class:`OSError` propagates — under a partial store
-        failure (reads fail, writes still land) a silent 0 here would
+        Only a verifiably absent directory reads as empty; any other
+        :class:`OSError` propagates — under a partial store failure
+        (reads fail, writes still land) a silent empty read here would
         make ``renew``/``publish_done`` skip the staleness check and
         let a fenced-out worker write as if no newer token existed.
         """
         self._gate()
         try:
-            names = os.listdir(self._tokens_dir(job))
+            names = os.listdir(os.path.join(self._job_dir(job), kind))
         except FileNotFoundError:
-            return 0
-        best = 0
-        for name in names:
-            m = _TOKEN_RE.match(name)
-            if m is not None and int(m.group("shard")) == shard:
-                best = max(best, int(m.group("token")))
-        return best
+            return {}
+        out: Dict[int, List[int]] = {}
+        for m in map(_TOKEN_RE.match, names):
+            if m is not None:
+                out.setdefault(int(m.group("shard")), []).append(
+                    int(m.group("token")))
+        return {s: sorted(t) for s, t in out.items()}
 
-    def _claim_token(self, job: str, shard: int) -> Optional[int]:
-        """Win the next fencing token, or ``None`` if a racer did."""
-        token = self.current_token(job, shard) + 1
-        marker = os.path.join(self._tokens_dir(job),
-                              f"s{shard:03d}.t{token:06d}")
-        won = create_sealed_exclusive(marker, stamp(
-            {"op": "token"}, job=job, shard=shard, token=token,
-            worker=self.worker, epoch=self.epoch,
-        ))
-        return token if won else None
+    def current_token(self, job: str, shard: int) -> int:
+        """The highest token ever granted for the unit (0 = none)."""
+        return max(self._scan(job, "tokens").get(shard, [0]))
 
     def granted_tokens(self, job: str, shard: int) -> List[int]:
-        """Every token ever granted for the shard, ascending."""
-        self._gate()
-        try:
-            names = os.listdir(self._tokens_dir(job))
-        except FileNotFoundError:
-            return []
-        out = [int(m.group("token")) for m in map(_TOKEN_RE.match, names)
-               if m is not None and int(m.group("shard")) == shard]
-        return sorted(out)
+        """Every token ever granted for the unit, ascending."""
+        return self._scan(job, "tokens").get(shard, [])
 
-    # -- shard leases --------------------------------------------------------
+    def _claim_token(self, job: str, shard: int,
+                     after: int) -> Optional[int]:
+        """Win token ``after + 1``, or ``None`` if a racer took it.
 
-    def _claimable(self, job: str, shard: int) -> bool:
-        """Whether the shard is up for (re)claim right now.
-
-        Claimable when never claimed, when the last claim is orphaned
-        (marker without a matching lease record — the claimant died
-        mid-claim), when the lease deadline is safely past (skew
-        allowance absorbed), when the owner's heartbeat has expired, or
-        when the owner re-registered under a newer epoch (its old
-        incarnation is fenced out by definition).
+        ``after`` is the token the claim decision was made on: were the
+        next token taken since, the decision is stale and the claim
+        must lose rather than stack a second claim on top.
         """
-        token = self.current_token(job, shard)
+        token = after + 1
+        marker = self._unit_path(job, "tokens", shard, token, ext="")
+        won = create_sealed_exclusive(marker, self._stamp(
+            {"op": "token"}, job, shard, token))
+        return token if won else None
+
+    def check_current(self, claim: ShardClaim) -> None:
+        """Raise :class:`StaleTokenError` once the claim is superseded.
+
+        A claim is superseded by a newer token, and also by a failure
+        record under its own token (its lease expired and a scan failed
+        the attempt): a failed attempt can neither renew nor complete.
+        """
+        current = self.current_token(claim.job, claim.shard)
+        if claim.token < current or self.read_failure(
+                claim.job, claim.shard, claim.token) is not None:
+            raise StaleTokenError(
+                f"{claim.job} unit {claim.shard} holds token "
+                f"{claim.token}, current is {current}",
+                token=claim.token, current=max(current, claim.token + 1),
+            )
+
+    # -- unit leases ---------------------------------------------------------
+
+    def _reclaim_reason(self, job: str, shard: int, token: int,
+                        failed: bool) -> Optional[str]:
+        """Why the unit under ``token`` may be (re)claimed, or ``None``.
+
+        Claimable when never claimed, when its current attempt failed,
+        when the last claim is orphaned (marker without a matching lease
+        record — the claimant died mid-claim), when the owner's lease
+        ran out, when the owner's heartbeat has expired, or when the
+        owner re-registered under a newer epoch (its old incarnation is
+        fenced out by definition — this daemon's own included, so a
+        restarted daemon reclaims its dead incarnation's units at once).
+        An owner's own lease expires on its own clock; a peer's only
+        once the deadline is past by more than the skew allowance.
+        """
         if token == 0:
-            return True
+            return "fresh"
+        if failed:
+            return "failed"
         lease = read_sealed(self._lease_path(job, shard, token))
         if lease is None or int(lease.get("token", 0)) != token:
-            return True  # orphaned claim: marker won, lease never landed
-        if self.clock.wall_expired(float(lease.get("deadline_wall", 0.0))):
-            return True
+            marker = read_sealed(
+                self._unit_path(job, "tokens", shard, token, ext="")) or {}
+            if (marker.get("worker"), marker.get("epoch")) \
+                    == (self.worker, self.epoch):
+                return None  # our own claim, mid-publication
+            return "orphaned"
         owner = str(lease.get("worker", ""))
-        if self.registry is not None and owner != self.worker:
+        epoch = int(lease.get("epoch", 0))
+        deadline = float(lease.get("deadline_wall", 0.0))
+        if owner == self.worker:
+            if epoch < self.epoch:
+                return "old-epoch"
+            return "expired" if self.clock.wall() > deadline else None
+        if self.registry is not None:
             if not self.registry.is_live(owner):
-                return True
-            if int(lease.get("epoch", 0)) < self.registry.current_epoch(owner):
-                return True
-        return False
+                return "dead-owner"
+            if epoch < self.registry.current_epoch(owner):
+                return "old-epoch"
+        return "expired" if self.clock.wall_expired(deadline) else None
 
     def claim_shard(self, job: str) -> Optional[ShardClaim]:
-        """Claim one runnable shard of the job, or ``None`` if none.
+        """Claim one runnable unit of the job, or ``None`` if none.
 
-        Scans shards in index order; for each not-yet-done, claimable
-        shard, races for the next fencing token and — on winning —
-        publishes the lease record carrying it.
+        Scans units in index order.  A unit that is done or dead is
+        skipped; one whose failure count exhausted the retry budget is
+        dead-lettered (the failing worker normally does that itself);
+        one whose last failure is younger than its seeded backoff waits.
+        A live owner's expired lease is failed with ``LEASE-EXPIRED``
+        first, so it too waits out its backoff.  Otherwise the claimer
+        races for the next fencing token and, on winning, publishes the
+        lease record carrying it.  A cancelled job claims nothing.
         """
         self._gate()
         spec = self.load_spec(job)
-        if spec is None:
+        if spec is None or self.read_cancel(job) is not None:
             return None
-        n_shards = plan_shards(spec).n_shards
-        for shard in range(n_shards):
+        tokens = self._scan(job, "tokens")
+        failures = self._scan(job, "failed")
+        for shard in range(plan_shards(spec).n_shards):
             if read_sealed(self._done_path(job, shard)) is not None:
                 continue
-            if not self._claimable(job, shard):
+            if read_sealed(self._unit_path(job, "dead", shard)) is not None:
                 continue
-            token = self._claim_token(job, shard)
-            if token is None:
-                continue  # racer won this shard; try the next one
-            claim = ShardClaim(
-                job=job, shard=shard, token=token, worker=self.worker,
-                epoch=self.epoch,
-                deadline_wall=self.clock.wall() + self.lease_ttl_s,
-            )
-            self._publish_lease(claim)
-            self._event("claim", job, shard, token)
-            return claim
+            failed = failures.get(shard, [])
+            token = tokens.get(shard, [0])[-1]
+            if len(failed) > self.retry_policy.retries:
+                last = self.read_failure(job, shard, failed[-1]) or {}
+                self._dead_letter(job, shard, failed[-1],
+                                  str(last.get("verdict", "FAILED")))
+                continue
+            reason = self._reclaim_reason(job, shard, token,
+                                          token in failed)
+            if reason is None:
+                continue
+            if reason == "expired":
+                self._record_failure(
+                    job, shard, token, LEASE_EXPIRED,
+                    f"lease under token {token} expired without a renewal")
+                continue  # the failure's backoff gates the reclaim
+            if reason == "failed" and self._backing_off(job, shard, failed):
+                continue
+            claim = self._claim(job, shard, token)
+            if claim is not None:
+                return claim
         return None
+
+    def _backing_off(self, job: str, shard: int, failed: List[int]) -> bool:
+        last = self.read_failure(job, shard, failed[-1])
+        if last is None:
+            return False
+        delay = backoff_delay_s(self.retry_policy, f"{job}/s{shard}",
+                                len(failed))
+        return self.clock.wall() - float(last.get("wall", 0.0)) < delay
+
+    def _claim(self, job: str, shard: int, after: int,
+               op: str = "claim") -> Optional[ShardClaim]:
+        token = self._claim_token(job, shard, after)
+        if token is None:
+            return None  # a racer won this unit
+        now = self.clock.wall()
+        claim = ShardClaim(job=job, shard=shard, token=token,
+                           worker=self.worker, epoch=self.epoch,
+                           deadline_wall=now + self.lease_ttl_s,
+                           granted_wall=now)
+        self._publish_lease(claim)
+        self._event(op, job, shard, token)
+        return claim
 
     def _publish_lease(self, claim: ShardClaim) -> None:
         """Land the claim's lease at its own token's path.
 
         Per-token paths make lease publication race-free across tokens:
-        a renewer that lost the shard writes only to its superseded
-        token's file, so it can never clobber the newer owner's lease
-        (last-writer-wins applies only among writes of one token, and a
-        token has exactly one holder).
+        a renewer that lost the unit writes only to its superseded
+        token's file, so it can never clobber the newer owner's lease.
         """
         publish_sealed(
             self._lease_path(claim.job, claim.shard, claim.token), stamp(
-                {"deadline_wall": claim.deadline_wall},
+                {"deadline_wall": claim.deadline_wall,
+                 "granted_wall": claim.granted_wall},
                 job=claim.job, shard=claim.shard, token=claim.token,
                 worker=claim.worker, epoch=claim.epoch,
             ))
 
     def read_lease(self, job: str, shard: int) -> Optional[dict]:
-        """The lease record under the shard's current token (hedging
+        """The lease record under the unit's current token (hedging
         scans read this); ``None`` when unclaimed or orphaned."""
         self._gate()
         token = self.current_token(job, shard)
@@ -345,28 +459,91 @@ class FleetStore:
     def renew(self, claim: ShardClaim) -> ShardClaim:
         """Push the lease deadline out; stale tokens are rejected whole."""
         self._gate()
-        current = self.current_token(claim.job, claim.shard)
-        if claim.token < current:
-            raise StaleTokenError(
-                f"lease renew for {claim.job} shard {claim.shard} carries "
-                f"token {claim.token}, current is {current}",
-                token=claim.token, current=current,
-            )
-        renewed = ShardClaim(
-            job=claim.job, shard=claim.shard, token=claim.token,
-            worker=claim.worker, epoch=claim.epoch,
-            deadline_wall=self.clock.wall() + self.lease_ttl_s,
-        )
+        self.check_current(claim)
+        renewed = replace(claim,
+                          deadline_wall=self.clock.wall() + self.lease_ttl_s)
         self._publish_lease(renewed)
         return renewed
+
+    # -- failures, dead letters, cancel --------------------------------------
+
+    def read_failure(self, job: str, shard: int,
+                     token: int) -> Optional[dict]:
+        return read_sealed(self._unit_path(job, "failed", shard, token))
+
+    def record_failure(self, claim: ShardClaim, verdict: str,
+                       detail: str = "") -> Optional[str]:
+        """Record the claim's attempt as failed; returns the unit state.
+
+        ``None`` when nothing was recorded: the unit completed anyway
+        (a hedge won), or the claim was fenced by a newer token — a
+        fenced attempt burns no retry budget.  Otherwise ``"queued"``
+        (the unit waits out its backoff) or ``"dead"`` (the failure
+        exhausted the retry budget and the unit dead-lettered).
+        """
+        self._gate()
+        if read_sealed(self._done_path(claim.job, claim.shard)) is not None:
+            return None
+        try:
+            self.check_current(claim)
+        except StaleTokenError:
+            return None
+        return self._record_failure(claim.job, claim.shard, claim.token,
+                                    verdict, detail)
+
+    def _record_failure(self, job: str, shard: int, token: int,
+                        verdict: str, detail: str) -> Optional[str]:
+        created = create_sealed_exclusive(
+            self._unit_path(job, "failed", shard, token), self._stamp(
+                {"verdict": verdict, "detail": detail,
+                 "wall": self.clock.wall()}, job, shard, token))
+        if not created:
+            return None  # a peer already failed this attempt
+        self._event("fail", job, shard, token)
+        failed = self._scan(job, "failed").get(shard, [])
+        if len(failed) <= self.retry_policy.retries:
+            return QUEUED
+        self._dead_letter(job, shard, token, verdict)
+        return DEAD
+
+    def _dead_letter(self, job: str, shard: int, token: int,
+                     verdict: str) -> None:
+        if create_sealed_exclusive(
+                self._unit_path(job, "dead", shard),
+                self._stamp({"verdict": verdict}, job, shard, token)):
+            self._event("dead", job, shard, token)
+
+    def read_cancel(self, job: str) -> Optional[dict]:
+        return read_sealed(os.path.join(self._job_dir(job), "cancel.rec"))
+
+    def cancel(self, job: str) -> bool:
+        """Cancel a job no unit of which holds a token; ``True`` when
+        this call created the cancel record.
+
+        A unit "holds" its current token until that attempt completes
+        or fails.  The claim path re-reads the cancel record before it
+        claims, so a claim racing the cancel either sees it or ran
+        first — and a cancelled job's state is ``cancelled`` whatever a
+        racing attempt later lands.
+        """
+        self._gate()
+        view = self.view(job)
+        if view is None or view.state != QUEUED:
+            return False
+        created = create_sealed_exclusive(
+            os.path.join(self._job_dir(job), "cancel.rec"),
+            self._stamp({"wall": self.clock.wall()}, job, None, 1))
+        if created:
+            self._event("cancel", job, None, 1)
+        return created
 
     # -- completions ---------------------------------------------------------
 
     def publish_done(self, claim: ShardClaim, result: dict) -> bool:
-        """Land a shard completion under the claim's fencing token.
+        """Land a unit completion under the claim's fencing token.
 
         Returns ``True`` when this call's record is the one that landed,
-        ``False`` when a completion already exists (the (job, shard,
+        ``False`` when a completion already exists (the (job, unit,
         token) dedupe: a rejoining worker re-publishing after a
         partition is a no-op, not a duplicate).  A superseded token is
         rejected whole with :class:`StaleTokenError` — old-or-new,
@@ -376,20 +553,17 @@ class FleetStore:
         done_path = self._done_path(claim.job, claim.shard)
         existing = read_sealed(done_path)
         if existing is not None and existing.get("token") == claim.token:
-            # Same (job, shard, token) already landed: this is a replay
-            # of our own completion (e.g. after a partition heal), not a
-            # conflict — absorb it.  A completion under a *different*
-            # token is not a dedupe; fall through to the fencing check.
+            # Same (job, unit, token) already landed: a replay of our
+            # own completion (e.g. after a partition heal), not a
+            # conflict.  A completion under a *different* token is not
+            # a dedupe; fall through to the fencing check.
             self._event("done-dedup", claim.job, claim.shard, claim.token)
             return False
-        current = self.current_token(claim.job, claim.shard)
-        if claim.token < current:
+        try:
+            self.check_current(claim)
+        except StaleTokenError:
             self._event("done-fenced", claim.job, claim.shard, claim.token)
-            raise StaleTokenError(
-                f"completion for {claim.job} shard {claim.shard} carries "
-                f"token {claim.token}, current is {current}",
-                token=claim.token, current=current,
-            )
+            raise
         landed = create_sealed_exclusive(done_path, stamp(
             dict(result), job=claim.job, shard=claim.shard,
             token=claim.token, worker=claim.worker, epoch=claim.epoch,
@@ -400,36 +574,28 @@ class FleetStore:
 
     def hedge_publish(self, job: str, shard: int,
                       result: dict) -> Optional[ShardClaim]:
-        """Publish a speculatively-executed (hedged) shard result.
+        """Publish a speculatively-executed (hedged) unit result.
 
-        Cross-host hedging claims **on completion**, not on start — a
-        hedge that claimed its token up front would fence out a healthy
-        primary mid-run.  The hedger executes without any claim, then
-        races for the next token only when it has a result in hand; if
-        a completion landed meanwhile, the hedge simply loses.
+        Hedging claims **on completion**, not on start — a hedge that
+        claimed its token up front would fence out a healthy primary
+        mid-run.  The hedger executes without any claim, then races for
+        the next token only when it has a result in hand; if a
+        completion landed meanwhile, the hedge simply loses.
 
         On winning the token the hedge immediately publishes a lease
         under it, so peers scanning between the token claim and the
         done create see an ordinary live lease — not an orphaned
-        marker they would instantly reclaim (which would fence this
-        hedge and waste a re-execution).  Losing the token race anyway
-        (a reclaim squeezed into the marker→lease window) is a normal
-        hedge outcome, not an error: the :class:`StaleTokenError` is
-        absorbed and the hedge returns ``None``.
+        marker they would instantly reclaim.  Losing the token race
+        anyway is a normal hedge outcome: the :class:`StaleTokenError`
+        is absorbed and the hedge returns ``None``.
         """
         self._gate()
         if read_sealed(self._done_path(job, shard)) is not None:
             return None
-        token = self._claim_token(job, shard)
-        if token is None:
+        claim = self._claim(job, shard, self.current_token(job, shard),
+                            op="hedge")
+        if claim is None:
             return None
-        claim = ShardClaim(
-            job=job, shard=shard, token=token, worker=self.worker,
-            epoch=self.epoch,
-            deadline_wall=self.clock.wall() + self.lease_ttl_s,
-        )
-        self._publish_lease(claim)
-        self._event("hedge", job, shard, token)
         try:
             return claim if self.publish_done(claim, result) else None
         except StaleTokenError:
@@ -440,7 +606,7 @@ class FleetStore:
         return read_sealed(self._done_path(job, shard))
 
     def shards_done(self, job: str) -> Dict[int, dict]:
-        """All landed completions, keyed by shard index."""
+        """All landed completions, keyed by unit index."""
         self._gate()
         spec = self.load_spec(job)
         if spec is None:
@@ -452,25 +618,79 @@ class FleetStore:
                 out[shard] = rec
         return out
 
-    # -- merged result -------------------------------------------------------
+    # -- the job outcome -----------------------------------------------------
 
-    def publish_result(self, job: str, merged: dict, token: int) -> bool:
-        """Land the merged campaign result (first merger wins)."""
+    def publish_result(self, job: str, merged: Optional[dict], token: int,
+                       state: str = DONE,
+                       verdict: Optional[str] = None) -> bool:
+        """Seal the job with its outcome (first writer wins)."""
         self._gate()
         landed = create_sealed_exclusive(
-            os.path.join(self._job_dir(job), "result.rec"), stamp(
-                {"result": merged}, job=job, shard=None, token=token,
-                worker=self.worker, epoch=self.epoch,
-            ))
-        self._event("result" if landed else "result-lost", job, None, token)
+            os.path.join(self._job_dir(job), "result.rec"), self._stamp(
+                {"result": merged, "state": state, "verdict": verdict},
+                job, None, token))
+        self._event("result" if landed else "result-lost", job, None,
+                    max(1, token))
         return landed
 
-    def read_result(self, job: str) -> Optional[dict]:
+    def read_outcome(self, job: str) -> Optional[dict]:
+        """The sealed outcome record, or ``None`` while the job runs."""
         self._gate()
-        rec = read_sealed(os.path.join(self._job_dir(job), "result.rec"))
-        if rec is None:
+        return read_sealed(os.path.join(self._job_dir(job), "result.rec"))
+
+    def read_result(self, job: str) -> Optional[dict]:
+        rec = self.read_outcome(job)
+        return None if rec is None else rec["result"]
+
+    # -- derived views -------------------------------------------------------
+
+    def view(self, job: str) -> Optional[JobView]:
+        """The job's state, derived from its records alone."""
+        spec = self.load_spec(job)
+        if spec is None:
             return None
-        return rec["result"]
+        outcome = self.read_outcome(job)
+        tokens = self._scan(job, "tokens")
+        failures = self._scan(job, "failed")
+        view = JobView(spec=spec)
+        timeline = []
+        for shard in range(plan_shards(spec).n_shards):
+            sv = view.shards[shard] = ShardView(index=shard)
+            for token in failures.get(shard, []):
+                rec = self.read_failure(job, shard, token) or {}
+                verdict = str(rec.get("verdict", "FAILED"))
+                sv.verdicts.append(verdict)
+                timeline.append((float(rec.get("wall", 0.0)), shard,
+                                 token, verdict))
+            sv.attempts = len(sv.verdicts)
+            token = tokens.get(shard, [0])[-1]
+            done = read_sealed(self._done_path(job, shard))
+            if done is not None:
+                sv.state, sv.result = DONE, unstamp(done)
+                sv.token, sv.worker = done.get("token"), done.get("worker")
+            elif read_sealed(self._unit_path(job, "dead", shard)):
+                sv.state = DEAD
+            elif token and token not in failures.get(shard, []):
+                lease = read_sealed(self._lease_path(job, shard, token))
+                if lease is not None:
+                    sv.state, sv.token = LEASED, token
+                    sv.worker = lease.get("worker")
+        if spec.shards:
+            view.verdicts = [f"shard{s}:{v}"
+                             for _, s, _, v in sorted(timeline)]
+            view.state = RUNNING if tokens else QUEUED
+        else:
+            unit = view.shards[0]
+            view.attempts, view.verdicts = unit.attempts, list(unit.verdicts)
+            view.state = LEASED if unit.state == LEASED else QUEUED
+        if outcome is not None:
+            view.state, view.result = outcome["state"], outcome["result"]
+            verdict = outcome.get("verdict")
+            if verdict and verdict not in view.verdicts[-1:]:
+                view.verdicts.append(verdict)
+        elif self.read_cancel(job) is not None:
+            view.state = CANCELLED
+        return view
 
     # -- audit ---------------------------------------------------------------
 
@@ -498,10 +718,10 @@ class FleetStore:
     def token_audit(self, job: str) -> dict:
         """Prove the fencing invariant held for one finished job.
 
-        Per shard: exactly one completion record landed, its token is
+        Per unit: exactly one completion record landed, its token is
         among the granted tokens, and — across every daemon's event
         trail — exactly one ``done`` event landed (zero double-executed
-        shards).  One crash window is forgiven: a worker that died
+        units).  One crash window is forgiven: a worker that died
         between landing the done record and appending its ``done``
         event leaves zero ``done`` events forever, but its post-rejoin
         replay logs ``done-dedup`` under the same ``(token, worker)``

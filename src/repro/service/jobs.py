@@ -7,27 +7,27 @@ the canonical JSON of all three — so a repeat submission of the same
 triple dedupes to the already-queued job or the cached completed result
 instead of re-fuzzing.  That key is also the job id the CLI shows.
 
-State machine (every transition is one journal record in the store)::
+State machine (every state is derived from records in the campaign
+store, :mod:`repro.service.fleet.store`)::
 
-    submit           lease            complete
+    submit           claim            done record
     ───────► QUEUED ───────► LEASED ───────────► DONE
-               ▲                │ failure (attempts <= retries)
+               ▲                │ failure record (attempts <= retries)
                │                ▼
-               └────────── (requeued)
-               │                │ failure (budget exhausted)
+               └────── (retried after backoff)
+               │                │ failure record (budget exhausted)
     cancel     ▼                ▼
           CANCELLED           DEAD
 
-``DONE``/``DEAD`` are terminal; ``CANCELLED`` may be resubmitted (a new
-``submit`` record for the same key resets the attempt counter).
-
-Sharded jobs (``spec.shards > 0``) add a second level: the job enters
-``RUNNING`` when its first shard is leased, and each shard runs the
-same QUEUED → LEASED → DONE/DEAD machine with shard-granular journal
-records (``slease``/``sfailure``/``sdone``/``sdead``) — so a crashed
-worker requeues *only its lost shards*.  The merge stage seals the job
-``DONE`` when every shard completed, ``PARTIAL`` (with a missing-Θ
-manifest) when some shards dead-lettered, or ``DEAD`` when all did.
+A job is a set of units: an unsharded job is one unit, a sharded job
+(``spec.shards > 0``) one unit per shard, each running the machine
+above — so a crashed worker requeues *only its lost shards*.  A sharded
+job is ``RUNNING`` once any shard was claimed.  Sealing ends it: the
+unit's (or the merged shards') result makes it ``DONE``, a merge with
+some shards dead-lettered makes it ``PARTIAL`` (with a missing-Θ
+manifest), all units dead make it ``DEAD``.  ``DONE``/``PARTIAL``/
+``DEAD``/``CANCELLED`` are terminal and final: a resubmission of the
+key serves the sealed state.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from repro.errors import JobRejectedError
 from repro.resilience.retry import RetryPolicy
 
-#: Job lifecycle states (journal-derived; see the module docstring).
+#: Job lifecycle states (record-derived; see the module docstring).
 QUEUED = "queued"
 LEASED = "leased"
 RUNNING = "running"
@@ -52,16 +52,6 @@ DEAD = "dead"
 CANCELLED = "cancelled"
 
 STATES = (QUEUED, LEASED, RUNNING, DONE, PARTIAL, DEAD, CANCELLED)
-
-#: States in which a job still occupies queue capacity (``RUNNING`` is
-#: the sharded analogue of ``LEASED``: shards are in flight).
-ACTIVE_STATES = (QUEUED, LEASED, RUNNING)
-
-#: Terminal states a resubmission cannot reopen (DONE serves its cached
-#: result; PARTIAL serves its explicitly-marked partial result with the
-#: missing-Θ manifest; DEAD stays dead-lettered until an operator
-#: intervenes).
-STICKY_STATES = (DONE, PARTIAL, DEAD)
 
 #: States from which no further transition is possible.
 TERMINAL_STATES = (DONE, PARTIAL, DEAD, CANCELLED)
@@ -212,16 +202,16 @@ class JobSpec:
 
 @dataclass
 class ShardView:
-    """Derived (in-memory) state of one shard of a sharded job."""
+    """Derived state of one unit (one shard, or an unsharded job's one
+    unit)."""
 
     index: int
     state: str = QUEUED
     attempts: int = 0
     verdicts: List[str] = field(default_factory=list)
     result: Optional[dict] = None
-    #: Primary lease, and (while a hedged duplicate races it) the hedge.
-    lease_id: Optional[str] = None
-    hedge_lease_id: Optional[str] = None
+    #: The fencing token of the lease (or completion), and its holder.
+    token: Optional[int] = None
     worker: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -231,34 +221,26 @@ class ShardView:
             "attempts": self.attempts,
             "verdicts": list(self.verdicts),
             "n_indices": (self.result or {}).get("n_indices"),
-            "lease": self.lease_id,
-            "hedge_lease": self.hedge_lease_id,
+            "token": self.token,
             "worker": self.worker,
         }
 
 
 @dataclass
 class JobView:
-    """Derived (in-memory) state of one job, folded from the journal."""
+    """Derived state of one job and its units."""
 
     spec: JobSpec
     state: str = QUEUED
     attempts: int = 0
     verdicts: List[str] = field(default_factory=list)
     result: Optional[dict] = None
-    lease_id: Optional[str] = None
-    worker: Optional[str] = None
-    #: Per-shard state, keyed by shard index (sharded jobs only; a
-    #: shard appears once its first lease is journaled).
+    #: Per-unit state, keyed by unit index.
     shards: Dict[int, ShardView] = field(default_factory=dict)
 
     @property
     def job_id(self) -> str:
         return self.spec.key
-
-    @property
-    def active(self) -> bool:
-        return self.state in ACTIVE_STATES
 
     def to_json(self) -> dict:
         out = {
@@ -269,8 +251,9 @@ class JobView:
             "attempts": self.attempts,
             "verdicts": list(self.verdicts),
             "result": self.result,
-            "lease": self.lease_id,
-            "worker": self.worker,
+            "n_shards": len(self.shards),
+            "shards_done": sum(1 for sv in self.shards.values()
+                               if sv.state == DONE),
         }
         if self.spec.shards:
             out["shards"] = [self.shards[i].to_json()

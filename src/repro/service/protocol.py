@@ -10,8 +10,10 @@ Requests::
 
     {"op": "submit", "spec": {...}}      accept/dedupe a job
     {"op": "status"}                     all jobs summary
-    {"op": "status", "job": "<id>"}      one job (incl. lease child pid)
+    {"op": "status", "job": "<id>"}      one job (incl. its child pids)
     {"op": "cancel", "job": "<id>"}      cancel a queued job
+    {"op": "follow", "job": "<id>"}      stream progress events to the end
+    {"op": "audit", "job": "<id>"}       fencing-token audit of a job
     {"op": "drain"}                      graceful shutdown
     {"op": "ping"}                       liveness probe
 
@@ -40,8 +42,8 @@ DRAINING = "DRAINING"
 BAD_REQUEST = "BAD-REQUEST"
 UNKNOWN_JOB = "UNKNOWN-JOB"
 NOT_CANCELLABLE = "NOT-CANCELLABLE"
-#: A fleet daemon has lost its shared store and is read-only until its
-#: rejoin probe succeeds (see :mod:`repro.service.fleet.daemon`).
+#: A daemon has lost its campaign store and is read-only until its
+#: rejoin probe succeeds (see :mod:`repro.service.daemon`).
 PARTITIONED = "PARTITIONED"
 
 

@@ -34,7 +34,7 @@ def _array_sha256(arr: np.ndarray) -> str:
 
 
 def result_digest(result) -> dict:
-    """The compact, journal-able summary of one campaign result."""
+    """The compact, record-able summary of one campaign result."""
     return {
         "iterations": int(result.fuzz.iterations),
         "n_useful": int(result.fuzz.n_useful),

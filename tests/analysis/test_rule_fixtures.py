@@ -676,6 +676,42 @@ class TestKND015FencedStoreWrites:
         assert "create_sealed_exclusive" in messages
         assert "token" in messages
 
+    def test_raw_primitives_anywhere_in_the_service_fire(self, tmp_path):
+        # The daemon and every other service module keep state only in
+        # the campaign store, so the rule covers the whole package.
+        findings = check_tree(tmp_path, {
+            "repro/service/daemon_state.py": (
+                "import os\n"
+                "from repro.ioutil import atomic_write, durable_append\n\n\n"
+                "def persist(path, data):\n"
+                "    with atomic_write(path, 'wb') as fh:\n"
+                "        fh.write(data)\n"
+                "    durable_append(path + '.log', data)\n"
+                "    fd = os.open(path, os.O_RDWR)\n"
+                "    os.close(fd)\n"
+            ),
+        }, select=["KND015"])
+        assert rule_ids(findings) == ["KND015"] * 3
+        assert all("service module" in f.message for f in findings)
+
+    def test_service_helpers_and_non_service_writes_are_clean(
+            self, tmp_path):
+        findings = check_tree(tmp_path, {
+            "repro/service/daemon_state.py": (
+                "from repro.service.fleet.fencing import publish_sealed\n\n\n"
+                "def persist(path, record):\n"
+                "    publish_sealed(path, record)\n"
+                "    with open(path, 'rb') as fh:\n"
+                "        return fh.read()\n"
+            ),
+            "repro/perf/elsewhere.py": (
+                "from repro.ioutil import durable_append\n\n\n"
+                "def log(path, data):\n"
+                "    durable_append(path, data)\n"
+            ),
+        }, select=["KND015"])
+        assert findings == []
+
     def test_fencing_helpers_reads_and_out_of_scope_are_clean(
             self, tmp_path):
         findings = check_tree(tmp_path, {
@@ -703,9 +739,9 @@ class TestKND015FencedStoreWrites:
                 "os.O_WRONLY)\n"
                 "    os.close(fd)\n"
             ),
-            # Same primitives outside the fleet package: other rules'
+            # Same primitives outside the service package: other rules'
             # turf (KND002/KND007), not this one's.
-            "repro/service/elsewhere.py": (
+            "repro/resilience/elsewhere.py": (
                 "from repro.ioutil import atomic_write\n\n\n"
                 "def save(path, data):\n"
                 "    with atomic_write(path, 'wb') as fh:\n"

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.errors import JobRejectedError, ServiceProtocolError
+from repro.errors import JobRejectedError, ServiceError, ServiceProtocolError
 from repro.resilience.retry import RetryPolicy
 from repro.service import JobSpec, KondoService, ServiceClient
 
@@ -46,6 +46,13 @@ def service(tmp_path):
 
 def client_of(svc, timeout_s=5.0):
     return ServiceClient(svc.socket_path, timeout_s=timeout_s)
+
+
+def landed_once(svc, job):
+    """The job's unit completed exactly once (fenced-store evidence)."""
+    audit = svc.store.token_audit(job)
+    return audit["ok"] and [s["landed_events"] for s in audit["shards"]] \
+        == [1] * len(audit["shards"])
 
 
 class TestSubmitToCompletion:
@@ -88,8 +95,9 @@ class TestAdmissionControl:
             with pytest.raises(JobRejectedError) as exc:
                 client.submit(spec(seed=3))
             assert exc.value.code == "REJECTED-BUSY"
-            # A rejected job was never accepted: nothing journaled.
-            assert svc.store.active_count() == 2
+            # A rejected job was never accepted: no record landed.
+            assert client.ping()["outstanding"] == 2
+            assert len(svc.store.jobs()) == 2
         finally:
             svc.abort()
 
@@ -163,7 +171,7 @@ class TestRetryAndDeadLetter:
             assert final["attempts"] == 1
             assert final["verdicts"] == ["EXCEPTION"]
             assert final["result"] == {"attempt": 2}
-            assert svc.store.complete_count(job) == 1
+            assert landed_once(svc, job)
         finally:
             svc.abort()
 
@@ -207,36 +215,34 @@ class TestLeaseExpiry:
             assert final["state"] == "done"
             assert final["verdicts"] == ["LEASE-EXPIRED"]
             assert final["result"] == {"attempt": "retry"}
-            assert svc.store.complete_count(job) == 1
+            assert landed_once(svc, job)
         finally:
             svc.abort()
 
 
 class TestDrain:
-    def test_drain_finishes_leased_work_and_seals_journal(self, tmp_path):
+    def test_drain_finishes_admitted_work(self, tmp_path):
         svc = make_service(tmp_path, lambda sj: {"ok": 1}).start()
         client = client_of(svc)
         job = client.submit(spec())["job"]
         client.drain()
         assert svc.wait(timeout_s=10.0)
-        assert svc.store.clean_shutdown
         assert svc.store.view(job).state == "done"
 
     def test_recovery_requeues_accepted_jobs(self, tmp_path):
         svc = make_service(tmp_path, lambda sj: {}, workers=0).start()
         client = client_of(svc)
         jobs = [client.submit(spec(seed=i))["job"] for i in range(3)]
-        svc.abort()  # crash: no shutdown marker
+        svc.abort()  # crash
         restarted = make_service(tmp_path,
                                  lambda sj: {"recovered": True}).start()
         try:
-            assert not restarted.store.clean_shutdown
             client = client_of(restarted)
             for job in jobs:
                 final = client.wait_for(job, timeout_s=10.0)
                 assert final["state"] == "done"
                 assert final["result"] == {"recovered": True}
-                assert restarted.store.complete_count(job) == 1
+                assert landed_once(restarted, job)
         finally:
             restarted.abort()
 
@@ -269,3 +275,66 @@ class TestWireProtocol:
         job = client.submit(spec(seed=11, deadline_s=45.0))["job"]
         view = service.store.view(job)
         assert view.spec.deadline_s == 45.0
+
+
+class TestOneExecutionPath:
+    def test_unsharded_digest_equals_execute_job(self, tmp_path):
+        """An unsharded job is a one-unit job whose result is its unit's
+        result: the digest ``execute_job`` computes, unchanged."""
+        from repro.service import execute_job
+
+        job_spec = spec(seed=3)
+        svc = KondoService(str(tmp_path), supervised=False, workers=1,
+                           retry_policy=FAST_RETRY).start()
+        try:
+            client = client_of(svc)
+            job = client.submit(job_spec)["job"]
+            final = client.wait_for(job, timeout_s=60.0)
+            assert final["state"] == "done"
+            assert final["result"] == execute_job(job_spec.to_json())
+            assert landed_once(svc, job)
+        finally:
+            svc.abort()
+
+    def test_cancelled_job_stays_cancelled(self, tmp_path):
+        """A cancel record never changes: resubmitting the key serves
+        the cancelled state instead of reopening the job."""
+        svc = make_service(tmp_path, lambda sj: {}, workers=0).start()
+        try:
+            client = client_of(svc)
+            job = client.submit(spec())["job"]
+            client.cancel(job)
+            again = client.submit(spec())
+            assert again["deduped"] and again["state"] == "cancelled"
+        finally:
+            svc.abort()
+
+    def test_state_dir_with_an_old_journal_is_refused(self, tmp_path):
+        (tmp_path / "jobs.log").write_bytes(b"")
+        svc = make_service(tmp_path, lambda sj: {})
+        with pytest.raises(ServiceError, match="jobs.log"):
+            svc.start()
+
+    def test_dedupe_survives_restart(self, tmp_path):
+        """The outcome record is the dedupe record: after a restart an
+        identical submission is served the result without re-running."""
+        ran = []
+
+        def runner(sj):
+            ran.append(sj["seed"])
+            return {"seed": sj["seed"]}
+
+        svc = make_service(tmp_path, runner).start()
+        try:
+            client = client_of(svc)
+            job = client.submit(spec(seed=5))["job"]
+            assert client.wait_for(job, timeout_s=30.0)["state"] == "done"
+        finally:
+            svc.drain()
+        again = make_service(tmp_path, runner).start()
+        try:
+            served = client_of(again).submit(spec(seed=5))
+            assert served["deduped"] and served["result"] == {"seed": 5}
+            assert ran == [5]  # the campaign ran exactly once
+        finally:
+            again.abort()

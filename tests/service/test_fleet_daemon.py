@@ -1,7 +1,7 @@
 """Multi-daemon fleet campaigns over one shared store.
 
-These run real :class:`FleetService` daemons (threads + unix sockets)
-against a shared tmpdir, with short lease/registry TTLs so failover is
+These run real :class:`KondoService` daemons (threads + unix sockets)
+pointed at one shared store (``shared_dir``, the ``--fleet`` option), with short lease/registry TTLs so failover is
 fast.  The two headline scenarios from the PR's acceptance criteria —
 a daemon killed mid-campaign and a daemon partitioned from the store —
 both must end with a merged digest bit-identical to the single-host
@@ -15,8 +15,14 @@ import pytest
 from repro import cli
 from repro.errors import FleetError, FleetPartitionedError
 from repro.resilience.faults import PartitionGate
-from repro.service import JobSpec, ServiceClient, run_sharded_reference
-from repro.service.fleet import FleetService
+from repro.resilience.retry import RetryPolicy
+from repro.service import (
+    JobSpec,
+    KondoService,
+    ServiceClient,
+    execute_job,
+    run_sharded_reference,
+)
 from repro.service.shards import execute_shard
 
 DIMS = (16, 16)
@@ -27,14 +33,20 @@ def spec(seed=0, shards=2, **kw):
                    shards=shards, **kw)
 
 
+#: Fast retry and partition-rejoin backoff.
+FAST_RETRY = RetryPolicy(retries=2, backoff_s=0.02, backoff_factor=2.0,
+                         backoff_max_s=0.2, jitter="full")
+
+
 def make_daemon(tmp_path, name, **kw):
     kw.setdefault("lease_ttl_s", 1.0)
     kw.setdefault("registry_ttl_s", 1.0)
     kw.setdefault("heartbeat_interval_s", 0.1)
-    kw.setdefault("rejoin_base_s", 0.02)
-    kw.setdefault("rejoin_max_s", 0.2)
-    return FleetService(str(tmp_path / "shared"), str(tmp_path / name),
-                        worker=name, **kw)
+    kw.setdefault("retry_policy", FAST_RETRY)
+    kw.setdefault("supervised", False)
+    return KondoService(str(tmp_path / name),
+                        shared_dir=str(tmp_path / "shared"), worker=name,
+                        **kw)
 
 
 def client_of(svc, timeout_s=5.0):
@@ -88,15 +100,31 @@ class TestFleetCampaign:
             alpha.drain()
             beta.drain()
 
-    def test_unsharded_submissions_are_rejected(self, tmp_path):
-        alpha = make_daemon(tmp_path, "alpha").start()
+    def test_fleet_serves_cancel_follow_and_unsharded_jobs(self, tmp_path):
+        """The single-host features work across a fleet: a job cancelled
+        on one daemon is never run by another, an unsharded job runs as
+        one unit on whichever daemon claims it, and a follower on the
+        other daemon sees the stream end once the store shows it done."""
+        unsharded = JobSpec(program="CS", dims=DIMS, seed=0, max_iter=12)
+        beta = make_daemon(tmp_path, "beta", workers=0).start()
+        alpha = make_daemon(tmp_path, "alpha")
         try:
-            from repro.errors import JobRejectedError
-            with pytest.raises(JobRejectedError):
-                client_of(alpha).submit(
-                    JobSpec(program="CS", dims=DIMS, seed=0, max_iter=12))
+            doomed = client_of(beta).submit(spec(seed=9))["job"]
+            assert client_of(beta).cancel(doomed)["state"] == "cancelled"
+            alpha.start()
+            job = client_of(beta).submit(unsharded)["job"]
+            events = list(client_of(beta).follow(job, timeout_s=60.0))
+            assert events[-1] == {"kind": "end", "state": "done"}
+            final = client_of(alpha).status(job)
+            assert final["result"] == execute_job(unsharded.to_json())
+            audit = client_of(alpha).request("audit", job=job)
+            assert audit["ok"] is True
+            assert [s["landed_events"] for s in audit["shards"]] == [1]
+            assert client_of(alpha).status(doomed)["state"] == "cancelled"
+            assert alpha.store.granted_tokens(doomed, 0) == []
         finally:
             alpha.drain()
+            beta.drain()
 
 
 class TestDaemonKilledMidCampaign:
@@ -110,7 +138,7 @@ class TestDaemonKilledMidCampaign:
         gate = PartitionGate()
         claimed = []
 
-        def slow_runner(spec_json, shard):
+        def slow_runner(spec_json, shard, progress=None):
             claimed.append(shard)
             time.sleep(0.4)  # hold the lease long enough to die with it
             return execute_shard(spec_json, shard)
@@ -119,7 +147,9 @@ class TestDaemonKilledMidCampaign:
         beta = make_daemon(tmp_path, "beta", shard_runner=slow_runner,
                            fault_gate=gate).start()
         try:
-            job = client_of(alpha).submit(spec(shards=2))["job"]
+            # Submitted through beta, whose claim loop wakes on its own
+            # submissions, so beta holds a lease when it dies.
+            job = client_of(beta).submit(spec(shards=2))["job"]
             assert wait_until(lambda: claimed), \
                 "beta never claimed a shard"
             gate.begin()  # sever beta's store...
@@ -188,7 +218,7 @@ class TestCrossHostHedging:
         shows exactly one landed completion."""
         reference = run_sharded_reference(spec(shards=1))
 
-        def stalled_runner(spec_json, shard):
+        def stalled_runner(spec_json, shard, progress=None):
             time.sleep(4.0)
             return execute_shard(spec_json, shard)
 
@@ -251,7 +281,7 @@ class TestClaimLoopResilience:
 
 class TestFleetServiceValidation:
     def test_rejects_bad_configuration(self, tmp_path):
-        for kw in ({"workers": 0}, {"heartbeat_interval_s": 0.0},
+        for kw in ({"workers": -1}, {"heartbeat_interval_s": 0.0},
                    {"hedge_after_s": -1.0}):
             with pytest.raises(FleetError):
                 make_daemon(tmp_path, "bad", **kw)

@@ -13,9 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FleetError, InjectedFault, StaleTokenError
+from repro.errors import (
+    FleetError,
+    InjectedFault,
+    JobRejectedError,
+    StaleTokenError,
+)
 from repro.resilience.faults import GateCrashPoint, PartitionGate
-from repro.service import JobSpec, run_sharded_reference
+from repro.resilience.retry import RetryPolicy
+from repro.service import (
+    JobSpec,
+    missing_theta_manifest,
+    plan_shards,
+    run_sharded_reference,
+)
 from repro.service.fleet import (
     ClockSource,
     FakeClock,
@@ -37,10 +48,14 @@ def spec(seed=0, shards=2, **kw):
                    shards=shards, **kw)
 
 
-def make_store(shared, worker, clock, ttl=5.0, gate=None):
+#: Retry budget of one retry, no backoff: failure tests stay exact.
+NO_BACKOFF = RetryPolicy(retries=1, backoff_s=0.0)
+
+
+def make_store(shared, worker, clock, ttl=5.0, gate=None, retry=None):
     return FleetStore(str(shared), worker, clock,
                       registry=WorkerRegistry(str(shared), clock, ttl_s=ttl),
-                      lease_ttl_s=ttl, fault_gate=gate)
+                      lease_ttl_s=ttl, fault_gate=gate, retry_policy=retry)
 
 
 _RESULT_CACHE = {}
@@ -71,6 +86,34 @@ def run_campaign(store, job_spec):
             store.publish_result(
                 job, merged, max(d["token"] for d in done.values()))
     return store.read_result(job)
+
+
+def run_failing_campaign(store, job_spec, cancelled_spec):
+    """Drive a campaign whose shard 1 always fails: it dead-letters and
+    the job seals PARTIAL.  A second job is cancelled before it runs."""
+    store.submit(cancelled_spec)
+    store.cancel(cancelled_spec.key)
+    job = job_spec.key
+    store.submit(job_spec)
+    while store.read_outcome(job) is None:
+        claim = store.claim_shard(job)
+        if claim is not None:
+            if claim.shard == 1:
+                store.record_failure(claim, "EXCEPTION", "injected")
+            else:
+                store.publish_done(claim,
+                                   _shard_result(job_spec, claim.shard))
+            continue
+        units = store.view(job).shards
+        if all(sv.state in ("done", "dead") for sv in units.values()):
+            done = {i: sv.result for i, sv in units.items()
+                    if sv.state == "done"}
+            dead = sorted(set(units) - set(done))
+            merged = merge_shard_results(
+                job_spec, done,
+                missing=missing_theta_manifest(plan_shards(job_spec), dead))
+            store.publish_result(job, merged, 1, state="partial")
+    return store.view(job)
 
 
 class TestClocks:
@@ -123,6 +166,24 @@ class TestFencingHelpers:
         assert create_sealed_exclusive(path, {"winner": "a"})
         assert not create_sealed_exclusive(path, {"winner": "b"})
         assert read_sealed(path)["winner"] == "a"
+
+    def test_writer_dying_mid_create_leaves_the_name_free(
+            self, tmp_path, monkeypatch):
+        """A writer killed between creating and sealing a record must
+        not leave a torn record holding the name: that would wedge a
+        done, outcome or spec record forever."""
+        path = str(tmp_path / "done.rec")
+
+        def killed(fd):
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(os, "fsync", killed)
+        with pytest.raises(OSError):
+            create_sealed_exclusive(path, {"winner": "a"})
+        monkeypatch.undo()
+        assert not os.path.exists(path)
+        assert create_sealed_exclusive(path, {"winner": "b"})
+        assert read_sealed(path)["winner"] == "b"
 
     def test_read_sealed_degrades_corruption_to_absent(self, tmp_path):
         path = str(tmp_path / "lease.rec")
@@ -235,9 +296,21 @@ class TestFleetStoreProtocol:
         job = spec(shards=1).key
         # "a" dies between winning the token marker and writing the
         # lease: simulate by claiming the marker directly.
-        assert a._claim_token(job, 0) == 1
+        assert a._claim_token(job, 0, 0) == 1
         claim = b.claim_shard(job)  # no TTL wait — marker > lease token
         assert claim is not None and claim.token == 2
+
+    def test_claim_on_a_stale_scan_loses(self, tmp_path):
+        """Two loops deciding on the same scan cannot both claim: the
+        late one asks for the token after the one it saw, which the
+        first already took, so it loses instead of fencing the first."""
+        store = make_store(tmp_path, "a", FakeClock())
+        store.enlist()
+        store.submit(spec(shards=1))
+        job = spec(shards=1).key
+        first = store.claim_shard(job)
+        assert store._claim(job, 0, 0) is None
+        assert store.granted_tokens(job, 0) == [first.token]
 
     def test_dead_owner_epoch_bump_fences_old_completion(self, tmp_path):
         clock = FakeClock()
@@ -453,15 +526,156 @@ class TestFleetStoreProtocol:
         assert audit["shards"][0]["landed_events"] == 0
         assert audit["shards"][0]["dedup_attested"] is True
 
-    def test_bad_job_keys_and_unsharded_specs_rejected(self, tmp_path):
+    def test_bad_job_keys_rejected_and_unsharded_jobs_are_one_unit(
+            self, tmp_path):
         clock = FakeClock()
         store = make_store(tmp_path, "a", clock)
         store.enlist()
         with pytest.raises(FleetError):
             store.claim_shard("../../etc")
-        with pytest.raises(FleetError):
-            store.submit(JobSpec(program="CS", dims=DIMS, seed=0,
-                                 max_iter=12))
+        unsharded = JobSpec(program="CS", dims=DIMS, seed=0, max_iter=12)
+        assert store.submit(unsharded)
+        claim = store.claim_shard(unsharded.key)
+        assert (claim.shard, claim.token) == (0, 1)
+        assert store.claim_shard(unsharded.key) is None  # one unit only
+        assert store.view(unsharded.key).state == "leased"
+
+    def test_restarted_fleet_of_one_reclaims_its_own_lease_at_once(
+            self, tmp_path):
+        """A daemon restarting under its own worker id re-enlists under
+        a bumped epoch, which fences its dead incarnation's lease at
+        once — no waiting out the 100 s lease TTL."""
+        clock = FakeClock()
+        first = make_store(tmp_path, "local", clock, ttl=100.0)
+        first.enlist()
+        first.submit(spec(shards=1))
+        job = spec(shards=1).key
+        old = first.claim_shard(job)
+        restarted = make_store(tmp_path, "local", clock, ttl=100.0)
+        restarted.enlist()
+        claim = restarted.claim_shard(job)
+        assert claim is not None and claim.token == old.token + 1
+        with pytest.raises(StaleTokenError):
+            first.publish_done(old, _shard_result(spec(shards=1)))
+
+    def test_different_theta_is_a_different_job(self, tmp_path):
+        store = make_store(tmp_path, "a", FakeClock())
+        store.enlist()
+        assert store.submit(spec(seed=0))
+        assert store.submit(spec(seed=1))
+        assert len(store.jobs()) == 2
+
+    def test_workers_not_part_of_identity(self):
+        # Pooled and serial campaigns are seed-for-seed identical, so
+        # they must share one job.
+        assert spec(workers=0).key == spec(workers=4).key
+
+    def test_unknown_spec_field_rejected(self):
+        with pytest.raises(JobRejectedError, match="unknown job spec"):
+            JobSpec.from_json({"program": "CS", "dims": [4], "bogus": 1})
+
+    def test_state_survives_a_fresh_handle(self, tmp_path):
+        """State lives in the records alone: a new handle (a restarted
+        daemon) derives the same done and cancelled states."""
+        clock = FakeClock()
+        store = make_store(tmp_path, "a", clock)
+        store.enlist()
+        job_spec = spec(shards=1)
+        run_campaign(store, job_spec)
+        store.submit(spec(seed=5))
+        assert store.cancel(spec(seed=5).key)
+        again = make_store(tmp_path, "a", clock)
+        assert again.view(job_spec.key).state == "done"
+        assert again.view(job_spec.key).result == store.read_result(
+            job_spec.key)
+        assert again.view(spec(seed=5).key).state == "cancelled"
+
+    def test_torn_spec_record_is_no_job(self, tmp_path):
+        store = make_store(tmp_path, "a", FakeClock())
+        store.enlist()
+        store.submit(spec())
+        path = os.path.join(str(tmp_path), "jobs", spec().key, "spec.json")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(raw[: len(raw) // 2])
+        assert store.view(spec().key) is None
+        assert store.claim_shard(spec().key) is None
+
+
+class TestFailureRecords:
+    def test_failures_count_attempts_then_dead_letter(self, tmp_path):
+        store = make_store(tmp_path, "a", FakeClock(), retry=NO_BACKOFF)
+        store.enlist()
+        job_spec = JobSpec(program="CS", dims=DIMS, seed=0, max_iter=12)
+        store.submit(job_spec)
+        job = job_spec.key
+        first = store.claim_shard(job)
+        assert store.record_failure(first, "OOM") == "queued"
+        assert store.view(job).attempts == 1
+        second = store.claim_shard(job)
+        assert second.token == first.token + 1
+        assert store.record_failure(second, "TIMEOUT") == "dead"
+        view = store.view(job)
+        assert view.shards[0].state == "dead"
+        assert view.verdicts == ["OOM", "TIMEOUT"]
+        assert store.claim_shard(job) is None  # dead stays dead
+
+    def test_backoff_gates_the_retry_on_the_injected_clock(self, tmp_path):
+        clock = FakeClock()
+        slow = RetryPolicy(retries=2, backoff_s=5.0, jitter="none")
+        store = make_store(tmp_path, "a", clock, ttl=100.0, retry=slow)
+        store.enlist()
+        store.submit(spec(shards=1))
+        job = spec(shards=1).key
+        store.record_failure(store.claim_shard(job), "SIGNALED")
+        assert store.claim_shard(job) is None  # 5 s backoff not over
+        clock.advance(5.0)
+        assert store.claim_shard(job).token == 2
+
+    def test_fenced_attempt_burns_no_retry_budget(self, tmp_path):
+        clock = FakeClock()
+        stale = make_store(tmp_path, "stale", clock, ttl=2.0)
+        peer = make_store(tmp_path, "peer", clock, ttl=2.0)
+        stale.enlist(), peer.enlist()
+        stale.submit(spec(shards=1))
+        job = spec(shards=1).key
+        old = stale.claim_shard(job)
+        clock.advance(60.0)
+        peer.heartbeat()
+        peer.claim_shard(job)
+        assert stale.record_failure(old, "SIGNALED") is None
+        assert store_attempts(peer, job) == 0
+
+    def test_expired_own_lease_fails_lease_expired(self, tmp_path):
+        clock = FakeClock()
+        store = make_store(tmp_path, "a", clock, ttl=2.0, retry=NO_BACKOFF)
+        store.enlist()
+        store.submit(spec(shards=1))
+        job = spec(shards=1).key
+        old = store.claim_shard(job)
+        clock.advance(2.5)  # own lease: no cross-host skew allowance
+        assert store.claim_shard(job) is None  # fails the attempt first
+        assert store.view(job).shards[0].verdicts == ["LEASE-EXPIRED"]
+        assert store.claim_shard(job).token == old.token + 1
+        with pytest.raises(StaleTokenError):
+            store.publish_done(old, _shard_result(spec(shards=1)))
+
+    def test_cancel_only_before_any_claim(self, tmp_path):
+        store = make_store(tmp_path, "a", FakeClock())
+        store.enlist()
+        store.submit(spec(seed=1))
+        assert store.cancel(spec(seed=1).key)
+        assert store.claim_shard(spec(seed=1).key) is None
+        assert store.view(spec(seed=1).key).state == "cancelled"
+        store.submit(spec(seed=2))
+        store.claim_shard(spec(seed=2).key)
+        assert not store.cancel(spec(seed=2).key)
+        assert store.view(spec(seed=2).key).state == "running"
+
+
+def store_attempts(store, job):
+    return sum(sv.attempts for sv in store.view(job).shards.values())
 
 
 #: The interleaving alphabet: which worker acts, and how.  "expire"
@@ -565,6 +779,47 @@ class TestCrashPointReplay:
                 f"diverged after crash at op {crash_on}"
             audit = survivor.token_audit(job_spec.key)
             assert audit["ok"], (crash_on, audit)
+
+    def test_failure_dead_and_cancel_records_survive_every_crash_point(
+            self, tmp_path):
+        """The same replay over failure, dead-letter, cancel and PARTIAL
+        outcome records: wherever worker "a" dies, the survivor ends
+        with the failing shard dead after exactly ``retries + 1``
+        failure records, the PARTIAL result the reference shards give,
+        and the cancelled job never claimed."""
+        job_spec, cancelled = spec(shards=2), spec(seed=7, shards=2)
+        expected = merge_shard_results(
+            job_spec, {0: _shard_result(job_spec, 0)},
+            missing=missing_theta_manifest(plan_shards(job_spec), [1]))
+        counter = GateCrashPoint(crash_on_op=10_000)
+        probe = make_store(tmp_path / "probe", "probe", FakeClock(),
+                           gate=counter, retry=NO_BACKOFF)
+        probe.enlist()
+        run_failing_campaign(probe, job_spec, cancelled)
+        assert counter.calls >= 20
+        for crash_on in range(1, counter.calls + 1):
+            shared = tmp_path / f"fail-crash-{crash_on:02d}"
+            clock = FakeClock()
+            doomed = make_store(shared, "doomed", clock, ttl=2.0,
+                                gate=GateCrashPoint(crash_on),
+                                retry=NO_BACKOFF)
+            with pytest.raises(InjectedFault):
+                doomed.enlist()
+                run_failing_campaign(doomed, job_spec, cancelled)
+            survivor = make_store(shared, "survivor", clock, ttl=2.0,
+                                  retry=NO_BACKOFF)
+            clock.advance(60.0)
+            survivor.enlist()
+            view = run_failing_campaign(survivor, job_spec, cancelled)
+            assert view.state == "partial", crash_on
+            assert view.result == expected, crash_on
+            assert view.shards[1].state == "dead"
+            assert view.shards[1].verdicts == ["EXCEPTION"] * 2, crash_on
+            audit = survivor.token_audit(job_spec.key)["shards"]
+            assert audit[0]["ok"] and audit[0]["landed_events"] == 1
+            assert survivor.view(cancelled.key).state == "cancelled"
+            assert [survivor.granted_tokens(cancelled.key, i)
+                    for i in range(2)] == [[], []], crash_on
 
 
 class TestPartitionGate:

@@ -6,6 +6,7 @@ service chaos drills.
 """
 
 import queue
+import sys
 import threading
 import time
 
@@ -50,6 +51,15 @@ def client_of(svc, timeout_s=5.0):
     return ServiceClient(svc.socket_path, timeout_s=timeout_s)
 
 
+def landed_events(svc, job):
+    """Per-shard count of landed completions (fenced-store evidence);
+    ``None`` when the token audit itself fails."""
+    audit = svc.store.token_audit(job)
+    if not audit["ok"]:
+        return None
+    return [s["landed_events"] for s in audit["shards"]]
+
+
 class TestShardedCampaign:
     def test_sharded_result_is_bit_identical_to_reference(self, tmp_path):
         reference = run_sharded_reference(spec(shards=1))
@@ -60,9 +70,27 @@ class TestShardedCampaign:
             final = client.wait_for(job, timeout_s=60.0)
             assert final["state"] == "done"
             assert final["result"] == reference
-            for i in range(4):
-                assert svc.store.shard_done_count(job, i) == 1
+            assert landed_events(svc, job) == [1, 1, 1, 1]
         finally:
+            svc.abort()
+
+    def test_many_loops_claim_each_shard_once(self, tmp_path):
+        """More claim loops than cores, switching threads often: every
+        shard is claimed under exactly one token and lands once."""
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc = make_service(tmp_path, workers=6).start()
+        try:
+            client = client_of(svc)
+            jobs = [client.submit(spec(seed=s))["job"] for s in range(3)]
+            for job in jobs:
+                final = client.wait_for(job, timeout_s=120.0)
+                assert final["state"] == "done"
+                assert landed_events(svc, job) == [1, 1, 1, 1]
+                assert [svc.store.granted_tokens(job, i)
+                        for i in range(4)] == [[1]] * 4
+        finally:
+            sys.setswitchinterval(old_interval)
             svc.abort()
 
     def test_status_lists_per_shard_progress(self, tmp_path):
@@ -111,8 +139,7 @@ class TestShardedCampaign:
             assert "shard1:LEASE-EXPIRED" in view.verdicts
             assert view.shards[0].verdicts == []
             assert view.shards[2].verdicts == []
-            assert all(svc.store.shard_done_count(job, i) == 1
-                       for i in range(3))
+            assert landed_events(svc, job) == [1, 1, 1]
         finally:
             release.set()
             svc.abort()
@@ -146,10 +173,10 @@ class TestShardedCampaign:
             final = client.wait_for(job, timeout_s=60.0)
             assert final["state"] == "done"
             assert final["result"] == run_sharded_reference(spec(shards=1))
-            hedged = [r for r in svc.store.records
-                      if r["op"] == "slease" and r.get("hedge")]
-            assert [r["shard"] for r in hedged] == [0]
-            assert svc.store.shard_done_count(job, 0) == 1
+            hedged = [e for e in svc.store.fenced_events()
+                      if e.get("op") == "hedge" and e.get("job") == job]
+            assert [e["shard"] for e in hedged] == [0]
+            assert landed_events(svc, job)[0] == 1
             # The revoked straggler burned no retry budget.
             assert svc.store.view(job).shards[0].verdicts == []
         finally:
@@ -174,8 +201,9 @@ class TestShardedCampaign:
             assert result["partial"] is True
             assert result["missing"] == missing_theta_manifest(
                 plan_shards(s), [2])
-            # PARTIAL is not deduped: a resubmission must re-run.
-            assert svc.store.cached_result(job) is None
+            # PARTIAL is sealed as partial: a resubmission is never
+            # served it as a done result.
+            assert client.submit(s)["state"] == "partial"
         finally:
             svc.abort()
 
@@ -213,7 +241,7 @@ class TestShardedCampaign:
         job = client_of(svc).submit(spec(shards=3))["job"]
         assert landed.wait(timeout=30.0)
         deadline = time.monotonic() + 10.0
-        while (svc.store.shard_done_count(job, 0) < 1
+        while (svc.store.read_done(job, 0) is None
                and time.monotonic() < deadline):
             time.sleep(0.02)
         hang.set()
@@ -257,6 +285,53 @@ class TestStreamingProgress:
             # Events arrive in sequence order, no duplicates.
             seqs = [e["seq"] for e in svc._events[job]]
             assert seqs == sorted(set(seqs))
+        finally:
+            svc.abort()
+
+    def test_follow_ends_on_the_terminal_event(self, tmp_path):
+        """The stream ends on the job's terminal event itself: the
+        follower never idles a tick after it before sending ``end``."""
+
+        class IdleCounting(queue.Queue):
+            terminal_seen = False
+            idle_after_terminal = 0
+
+            def get(self, block=True, timeout=None):
+                try:
+                    event = super().get(block, timeout)
+                except queue.Empty:
+                    if self.terminal_seen:
+                        self.idle_after_terminal += 1
+                    raise
+                if event["kind"] in ("done", "partial", "dead",
+                                     "cancelled"):
+                    self.terminal_seen = True
+                return event
+
+        def slow_runner(spec_json, shard, progress=None):
+            time.sleep(0.3)  # the follower subscribes before the end
+            from repro.service.shards import execute_shard
+            return execute_shard(spec_json, shard)
+
+        svc = make_service(tmp_path, shard_runner=slow_runner).start()
+        followers = []
+
+        def subscribe(job_id):
+            follower = IdleCounting(maxsize=svc.event_buffer)
+            with svc._event_lock:
+                backlog = list(svc._events.get(job_id, ()))
+                svc._followers.setdefault(job_id, []).append(follower)
+            followers.append(follower)
+            return follower, backlog
+
+        svc._subscribe = subscribe
+        try:
+            client = client_of(svc)
+            job = client.submit(spec(shards=2))["job"]
+            events = list(client.follow(job, timeout_s=60.0))
+            assert events[-1] == {"kind": "end", "state": "done"}
+            assert followers and followers[0].terminal_seen
+            assert followers[0].idle_after_terminal == 0
         finally:
             svc.abort()
 

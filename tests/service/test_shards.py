@@ -1,24 +1,19 @@
-"""Sharded campaigns: planner determinism, N-invariance, shard journal.
+"""Sharded campaigns: planner determinism, N-invariance, the merge.
 
-The hypothesis properties here pin the tentpole contract: the sharded
+The hypothesis properties here pin the sharding contract: the sharded
 campaign's merged output equals the shard-count-1 run bit-identically
-for *arbitrary* shard counts, the merge is order-free, and a shard
-journal cut at ANY byte recovers to old-or-new state with every landed
-``sdone`` preserved (lost shards — and only lost shards — requeue).
+for *arbitrary* shard counts, and the merge is order-free.  Crash
+recovery of the shard records is the campaign store's property
+(``test_fleet_store.py``).
 """
-
-import os
-import shutil
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServiceError
-from repro.resilience.durability.records import parse_log
-from repro.service import JobSpec, JobStore
+from repro.service import JobSpec
 from repro.service.shards import (
     DEFAULT_SLICES,
     ShardPlanner,
@@ -183,202 +178,3 @@ class TestPartialManifest:
         assert [m["shard"] for m in partial["missing"]] == [2]
         # The partial cloud is a subset of the full union.
         assert partial["observed"] <= reference["observed"]
-
-
-def shard_spec(**kw):
-    return spec(shards=3, **kw)
-
-
-class TestShardStore:
-    def test_shard_lease_and_done(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        assert view.state == "running"
-        assert view.shards[0].state == "leased"
-        assert store.record_shard_done(job, 0, "L1", {"n_indices": 5})
-        assert view.shards[0].state == "done"
-        assert store.shard_done_count(job, 0) == 1
-
-    def test_first_completion_wins(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        store.record_shard_lease(job, 0, "L2", "w1", hedge=True)
-        assert store.record_shard_done(job, 0, "L2", {"winner": "hedge"})
-        # The straggling primary reports in late: dropped.
-        assert not store.record_shard_done(job, 0, "L1", {"loser": 1})
-        assert view.shards[0].result == {"winner": "hedge"}
-        assert store.shard_done_count(job, 0) == 1
-
-    def test_hedge_requires_a_live_primary(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        with pytest.raises(ServiceError, match="not hedgeable"):
-            store.record_shard_lease(view.job_id, 0, "L1", "w0",
-                                     hedge=True)
-
-    def test_one_lease_failure_keeps_shard_leased(self, tmp_path):
-        # Losing one of the primary/hedge pair is not a requeue: the
-        # other lease is still running the shard.
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        store.record_shard_lease(job, 0, "L2", "w1", hedge=True)
-        state = store.record_shard_failure(job, 0, "L1", "SIGNALED")
-        assert state == "leased"
-        assert view.shards[0].hedge_lease_id == "L2"
-        # Now the hedge dies too → requeue.
-        state = store.record_shard_failure(job, 0, "L2", "SIGNALED")
-        assert state == "queued"
-
-    def test_stale_shard_failure_is_ignored(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        store.record_shard_done(job, 0, "L1", {"ok": 1})
-        # A revoked loser's failure arrives after the shard sealed.
-        state = store.record_shard_failure(job, 0, "L1", "SIGNALED")
-        assert state == "done"
-        assert view.shards[0].verdicts == []
-
-    def test_retry_budget_dead_letters_the_shard(self, tmp_path):
-        store = JobStore.open(str(tmp_path), retries=1)
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        assert store.record_shard_failure(job, 0, "L1", "TIMEOUT") \
-            == "queued"
-        store.record_shard_lease(job, 0, "L2", "w0")
-        assert store.record_shard_failure(job, 0, "L2", "TIMEOUT") \
-            == "dead"
-        assert view.shards[0].state == "dead"
-        # Other shards are untouched by one shard's death.
-        store.record_shard_lease(job, 1, "L3", "w0")
-        assert view.shards[1].state == "leased"
-
-    def test_partial_seal_and_no_cache_spill(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        assert store.record_partial(job, {"partial": True})
-        assert view.state == "partial"
-        # PARTIAL results must not populate the dedupe cache.
-        assert store.cached_result(job) is None
-        # The seal is sticky: a second terminal write is refused.
-        assert not store.record_merge(job, {"late": 1})
-
-    def test_merge_seal_spills_to_cache(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        store.record_shard_done(job, 0, "L1", {"ok": 1})
-        assert store.record_merge(job, {"merged": True})
-        assert view.state == "done"
-        assert store.cached_result(job) == {"merged": True}
-
-    def test_recovery_requeues_only_lost_shards(self, tmp_path):
-        store = JobStore.open(str(tmp_path))
-        view, _ = store.submit(shard_spec())
-        job = view.job_id
-        store.record_shard_lease(job, 0, "L1", "w0")
-        store.record_shard_done(job, 0, "L1", {"ok": 1})
-        store.record_shard_lease(job, 1, "L2", "w0")
-        # Daemon dies here: shard 1 leased, shard 0 done, shard 2 untouched.
-        again = JobStore.open(str(tmp_path))
-        v = again.view(job)
-        assert v.shards[0].state == "done"
-        assert v.shards[0].result == {"ok": 1}
-        assert v.shards[1].state == "queued"
-        assert v.shards[1].lease_id is None
-        assert job in again.recovered_jobs
-
-
-def _build_sharded_journal(state_dir) -> tuple:
-    """A representative sharded journal: leases, a hedge race, a
-    failure, a dead-letter, a done shard, and a merged seal."""
-    store = JobStore.open(state_dir, retries=1)
-    a, _ = store.submit(shard_spec(seed=3))
-    store.record_shard_lease(a.job_id, 0, "L1", "w0")
-    store.record_shard_lease(a.job_id, 1, "L2", "w1")
-    store.record_shard_lease(a.job_id, 1, "L3", "w0", hedge=True)
-    store.record_shard_done(a.job_id, 1, "L3", {"cloud": [[0, 4]],
-                                                "n_indices": 4})
-    store.record_shard_failure(a.job_id, 0, "L1", "SIGNALED")
-    store.record_shard_lease(a.job_id, 0, "L4", "w1")
-    store.record_shard_done(a.job_id, 0, "L4", {"cloud": [[9, 2]],
-                                                "n_indices": 2})
-    store.record_shard_lease(a.job_id, 2, "L5", "w0")
-    store.record_shard_failure(a.job_id, 2, "L5", "TIMEOUT")
-    store.record_shard_lease(a.job_id, 2, "L6", "w0")
-    store.record_shard_failure(a.job_id, 2, "L6", "TIMEOUT")  # -> dead
-    store.record_partial(a.job_id, {"partial": True, "observed": 6})
-    b, _ = store.submit(shard_spec(seed=4))
-    store.record_shard_lease(b.job_id, 0, "L7", "w0")
-    with open(store.log_path, "rb") as fh:
-        raw = fh.read()
-    return raw, store.records
-
-
-class TestShardCrashPointProperty:
-    """A shard journal cut at ANY byte recovers old-or-new, exactly-once."""
-
-    RAW = None
-    RECORDS = None
-
-    @classmethod
-    def _reference(cls):
-        if cls.RAW is None:
-            ref_dir = tempfile.mkdtemp(prefix="kondo-shard-ref-")
-            try:
-                cls.RAW, cls.RECORDS = _build_sharded_journal(ref_dir)
-            finally:
-                shutil.rmtree(ref_dir, ignore_errors=True)
-        return cls.RAW, cls.RECORDS
-
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_recovery_is_a_record_prefix(self, data):
-        raw, records = self._reference()
-        cut = data.draw(st.integers(min_value=0, max_value=len(raw)),
-                        label="crash byte")
-        work = tempfile.mkdtemp(prefix="kondo-shard-cut-")
-        try:
-            with open(os.path.join(work, "jobs.log"), "wb") as fh:
-                fh.write(raw[:cut])
-            store = JobStore.open(work, retries=1)
-            intact, _, _ = parse_log(raw[:cut])
-            assert store.records == intact
-            assert store.records == records[: len(store.records)]
-            # Reopen is stable, shard-for-shard.
-            again = JobStore.open(work, retries=1)
-            assert {(j, i): sv.state
-                    for j, v in again.jobs.items()
-                    for i, sv in v.shards.items()} == \
-                   {(j, i): sv.state
-                    for j, v in store.jobs.items()
-                    for i, sv in v.shards.items()}
-            for view in store.jobs.values():
-                # No lease survives the crash — at job or shard level.
-                assert view.state != "leased"
-                for sv in view.shards.values():
-                    assert sv.state != "leased"
-                    assert sv.lease_id is None
-                    assert sv.hedge_lease_id is None
-            # Every landed sdone is never lost, exactly-once per shard.
-            for rec in intact:
-                if rec["op"] == "sdone":
-                    sv = store.view(rec["job"]).shards[rec["shard"]]
-                    assert sv.state == "done"
-                    assert sv.result == rec["result"]
-                    assert store.shard_done_count(
-                        rec["job"], rec["shard"]) == 1
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
