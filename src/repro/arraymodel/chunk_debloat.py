@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.arraymodel.chunked import ChunkedLayout
-from repro.arraymodel.layout import unflatten_many
+from repro.arraymodel.layout import sorted_unique, unflatten_many
 from repro.errors import SchemaError
 
 
@@ -48,14 +48,14 @@ def chunks_for_flat_indices(
         [int(np.prod(layout.grid[k + 1:])) for k in range(len(layout.grid))],
         dtype=np.int64,
     )
-    return np.unique(coords @ strides)
+    return sorted_unique(coords @ strides)
 
 
 def chunk_keep_extents(
     layout: ChunkedLayout, chunk_ordinals: np.ndarray
 ) -> List[Tuple[int, int]]:
     """Payload byte extents of whole chunks, merged when adjacent."""
-    ordinals = np.unique(np.asarray(chunk_ordinals, dtype=np.int64))
+    ordinals = sorted_unique(chunk_ordinals)
     size = layout.chunk_elems * layout.schema.itemsize
     extents: List[Tuple[int, int]] = []
     for o in ordinals:
@@ -112,7 +112,7 @@ def chunk_granularity_report(
     """Quantify the cost of rounding a carve result up to whole chunks."""
     chunks = chunks_for_flat_indices(layout, flat_logical, dims)
     chunk_bytes = sum(z for _s, z in chunk_keep_extents(layout, chunks))
-    n_elems = np.unique(np.asarray(flat_logical, dtype=np.int64)).size
+    n_elems = sorted_unique(flat_logical).size
     return ChunkGranularityReport(
         n_elements_carved=int(n_elems),
         n_chunks_kept=int(chunks.size),

@@ -39,6 +39,7 @@ from repro.arraymodel.datafile import (
     verify_header,
     verify_payload_crc,
 )
+from repro.arraymodel.layout import sorted_unique
 from repro.arraymodel.schema import ArraySchema
 from repro.arraymodel.spans import (
     SPAN_CLEAN,
@@ -107,7 +108,7 @@ def extents_from_flat_indices(
     flat: np.ndarray, itemsize: int
 ) -> List[Tuple[int, int]]:
     """Collapse a set of flat element numbers into merged byte extents."""
-    flat = np.unique(np.asarray(flat, dtype=np.int64))
+    flat = sorted_unique(flat)
     if flat.size == 0:
         return []
     breaks = np.flatnonzero(np.diff(flat) != 1)

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.arraymodel.layout import sorted_unique
 from repro.audit.events import ACCESS_TYPES, Event, EventType
 from repro.audit.flatstore import FlatIntervalStore
 from repro.errors import AuditError
@@ -201,7 +202,7 @@ class BlockRecorder:
         group* (typically one per flush), never per element — KND009
         allow-lists this helper for exactly that reason.
         """
-        for ident in np.unique(idents):
+        for ident in sorted_unique(idents):
             key = self._ident_keys[int(ident)]
             store = self.stores.get(key)
             if store is None:

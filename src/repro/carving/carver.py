@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, unflatten_many
+from repro.arraymodel.layout import flatten_many, sorted_unique, unflatten_many
 from repro.carving.cells import split_into_cells
 from repro.carving.merge import MergeStats, merge_hulls
 from repro.errors import GeometryError
@@ -132,7 +132,7 @@ class Carver:
                 if raster.size
                 else np.empty(0, dtype=np.int64)
             )
-            flat = np.union1d(carved_flat, observed_flat)
+            flat = sorted_unique(np.concatenate((carved_flat, observed_flat)))
         return CarveResult(
             hulls=merged,
             flat_indices=flat.astype(np.int64),

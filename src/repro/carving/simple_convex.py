@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, unflatten_many
+from repro.arraymodel.layout import flatten_many, sorted_unique, unflatten_many
 from repro.carving.carver import CarveResult, observed_flat_indices
 from repro.carving.merge import MergeStats
 from repro.errors import GeometryError
@@ -54,7 +54,7 @@ class SimpleConvexCarver:
             else np.empty(0, dtype=np.int64)
         )
         observed_flat = observed_flat_indices(points, self.dims)
-        flat = np.union1d(carved_flat, observed_flat)
+        flat = sorted_unique(np.concatenate((carved_flat, observed_flat)))
         return CarveResult(
             hulls=[hull],
             flat_indices=flat.astype(np.int64),

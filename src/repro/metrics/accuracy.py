@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arraymodel.layout import sorted_unique
+
 
 @dataclass(frozen=True)
 class Accuracy:
@@ -36,8 +38,8 @@ class Accuracy:
 
 def accuracy(truth_flat: np.ndarray, approx_flat: np.ndarray) -> Accuracy:
     """Precision and recall of ``approx`` against ``truth`` (flat offsets)."""
-    truth = np.unique(np.asarray(truth_flat, dtype=np.int64))
-    approx = np.unique(np.asarray(approx_flat, dtype=np.int64))
+    truth = sorted_unique(truth_flat)
+    approx = sorted_unique(approx_flat)
     common = np.intersect1d(truth, approx, assume_unique=True)
     precision = common.size / approx.size if approx.size else 1.0
     recall = common.size / truth.size if truth.size else 1.0
@@ -54,5 +56,5 @@ def bloat_fraction(kept_flat: np.ndarray, n_total: int) -> float:
     """Fraction of the array identified as bloat: ``|I - I'| / |I|``."""
     if n_total <= 0:
         return 0.0
-    kept = np.unique(np.asarray(kept_flat, dtype=np.int64)).size
+    kept = sorted_unique(kept_flat).size
     return 1.0 - kept / n_total

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.arraymodel.datafile import ArrayFile
 from repro.arraymodel.debloated import DebloatedArrayFile
+from repro.arraymodel.layout import sorted_unique
 from repro.arraymodel.runtime import KondoRuntime, RemoteFetcher, RuntimeStats
 from repro.errors import DataMissingError, FetchError
 from repro.resilience.config import NO_RESILIENCE, ResilienceConfig
@@ -60,7 +61,7 @@ class SubsetPatch:
         offs = np.asarray(
             [layout.offset_of(i) for i in self.missed_indices], dtype=np.int64
         )
-        return np.unique(offs)
+        return sorted_unique(offs)
 
     def extents(self, layout, itemsize: int) -> List[Tuple[int, int]]:
         """Missed elements as ``(offset, size)`` source byte extents."""

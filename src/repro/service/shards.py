@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.arraymodel.layout import sorted_unique
 from repro.core import Kondo
 from repro.errors import ServiceError
 from repro.fuzzing import FuzzConfig
@@ -158,7 +159,7 @@ def encode_runs(flat) -> List[List[int]]:
     The input is sorted-uniqued first, so the encoding is canonical:
     two clouds with the same offset *set* encode identically.
     """
-    arr = np.unique(np.asarray(flat, dtype=np.int64).reshape(-1))
+    arr = sorted_unique(flat)
     if arr.size == 0:
         return []
     breaks = np.flatnonzero(np.diff(arr) != 1)
@@ -174,7 +175,7 @@ def decode_runs(runs: List[List[int]]) -> np.ndarray:
     parts = [np.arange(int(start), int(start) + int(length),
                        dtype=np.int64)
              for start, length in runs]
-    return np.unique(np.concatenate(parts))
+    return sorted_unique(np.concatenate(parts))
 
 
 # -- shard execution ---------------------------------------------------------
@@ -242,7 +243,7 @@ def execute_shard(spec_json: dict, shard_index: int,
         if progress is not None:
             progress({"kind": "slice-done", "slice": slc.index,
                       "iterations": iterations})
-    union = (np.unique(np.concatenate(clouds)) if clouds
+    union = (sorted_unique(np.concatenate(clouds)) if clouds
              else np.empty(0, dtype=np.int64))
     return {
         "shard": shard_index,
@@ -287,7 +288,7 @@ def merge_shard_results(spec: JobSpec, shard_results: Dict[int, dict],
     plan = plan_shards(spec)
     clouds = [decode_runs(shard_results[i]["cloud"])
               for i in sorted(shard_results)]
-    union = (np.unique(np.concatenate(clouds)) if clouds
+    union = (sorted_unique(np.concatenate(clouds)) if clouds
              else np.empty(0, dtype=np.int64))
     iterations = sum(int(shard_results[i]["iterations"])
                      for i in sorted(shard_results))

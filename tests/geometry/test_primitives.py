@@ -15,6 +15,7 @@ from repro.geometry.primitives import (
     min_pairwise_distance,
     project_to_subspace,
     subspace_residual,
+    unique_rows,
 )
 
 
@@ -127,3 +128,42 @@ class TestMisc:
         lo, hi = bounding_box(np.array([[1.0, 9.0], [5.0, 2.0]]))
         assert lo.tolist() == [1.0, 2.0]
         assert hi.tolist() == [5.0, 9.0]
+
+
+#: Coordinates that collide often, include both signed zeros, and are
+#: not all integers (so ``dedupe_points`` takes its row-sort path).
+_COORDS = st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-9, 3.0, -7.0])
+
+
+@st.composite
+def float_cloud(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = [[draw(_COORDS) for _ in range(d)] for _ in range(n)]
+    rows.append([0.5] * d)  # at least one non-integer coordinate
+    order = draw(st.permutations(range(len(rows))))
+    return np.asarray([rows[i] for i in order], dtype=np.float64)
+
+
+class TestRowDedupe:
+    @given(pts=float_cloud())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_np_unique_axis0(self, pts):
+        expect = np.unique(pts, axis=0)
+        for got in (unique_rows(pts), dedupe_points(pts)):
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+
+    @given(pts=float_cloud())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_cloud_matches_np_unique_axis0(self, pts):
+        ints = np.round(pts * 4)
+        assert np.array_equal(dedupe_points(ints), np.unique(ints, axis=0))
+
+    def test_signed_zeros_collapse_to_one_row(self):
+        pts = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, -0.0]])
+        assert unique_rows(pts).tolist() == [[0.0, 0.0], [0.0, 0.5]]
+
+    def test_empty_and_single_row(self):
+        assert unique_rows(np.empty((0, 3))).shape == (0, 3)
+        assert unique_rows(np.array([[1.5, 2.0]])).tolist() == [[1.5, 2.0]]
