@@ -13,7 +13,7 @@ from repro.audit import AuditSession, IntervalBTree
 from repro.carving import Carver
 from repro.core import DebloatTest
 from repro.fuzzing import CarveConfig, FuzzConfig, run_fuzz_schedule
-from repro.geometry import Hull, integer_points_in_hull
+from repro.geometry import Hull, flat_indices_in_hulls
 from repro.workloads import get_program
 
 
@@ -79,8 +79,8 @@ def test_hull_raster_512(benchmark):
     hull = Hull.from_points(
         [[0, 0], [511, 30], [480, 500], [20, 460], [250, 255]]
     )
-    pts = benchmark(integer_points_in_hull, hull, (512, 512))
-    assert pts.shape[0] > 100_000
+    flat = benchmark(flat_indices_in_hulls, [hull], (512, 512))
+    assert flat.size > 100_000
 
 
 def test_fuzz_schedule_throughput(benchmark):

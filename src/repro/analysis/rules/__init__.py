@@ -1,16 +1,15 @@
 """The Kondo rule catalog — importing this package registers every rule.
 
-Rule IDs are stable and append-only:
+Rule IDs are stable and append-only; a retired ID is never reused
+(``KND005`` executor-purity went with the campaign executor pool):
 
 * ``KND001`` determinism — no global RNG / unseeded ``default_rng`` /
   wall-clock timestamps in replay-critical packages.
 * ``KND002`` atomic-write — no raw writable ``open()`` outside
   ``repro.ioutil``.
 * ``KND003`` error-taxonomy — broad ``except`` must re-raise or feed
-  the Outcome path.
+  the failure-recording path.
 * ``KND004`` layering — imports follow the architecture DAG.
-* ``KND005`` executor-purity — pooled callables don't touch mutable
-  module globals.
 * ``KND006`` resource-hygiene — file handles in ``audit``/``arraymodel``
   are closed.
 * ``KND007`` durable-writes — KND/KNDS/patch/journal artifacts mutate
@@ -46,7 +45,6 @@ from repro.analysis.rules.knd001_determinism import DeterminismRule
 from repro.analysis.rules.knd002_atomic_write import AtomicWriteRule
 from repro.analysis.rules.knd003_error_taxonomy import ErrorTaxonomyRule
 from repro.analysis.rules.knd004_layering import LAYERS, LayeringRule
-from repro.analysis.rules.knd005_executor_purity import ExecutorPurityRule
 from repro.analysis.rules.knd006_resource_hygiene import ResourceHygieneRule
 from repro.analysis.rules.knd007_durable_writes import DurableWritesRule
 from repro.analysis.rules.knd008_bounded_waits import BoundedWaitsRule
@@ -69,7 +67,6 @@ __all__ = [
     "DeterminismRule",
     "DurableWritesRule",
     "ErrorTaxonomyRule",
-    "ExecutorPurityRule",
     "FencedStoreRule",
     "ForkSafetyRule",
     "LayeringRule",

@@ -1,7 +1,7 @@
 """KND001 — replay determinism in the campaign-critical packages.
 
-Campaigns must replay bit-identically: the parallel executor (PR 1) and
-checkpoint/resume (PR 2) both promise seed-for-seed identical results,
+Campaigns must replay bit-identically: checkpoint/resume and sharded
+campaigns both promise seed-for-seed identical results,
 which a single call into the *global* RNG or a wall-clock timestamp
 silently breaks.  Inside the replay-critical packages (``fuzzing``,
 ``carving``, ``perf``, ``resilience.checkpoint``) this rule bans:

@@ -1,15 +1,15 @@
 """KND003 — broad exception handlers must feed the error taxonomy.
 
 The self-healing runtime classifies failures through the ``repro.errors``
-taxonomy and the per-item ``Outcome`` path; a broad ``except Exception``
+taxonomy and its failure-recording calls; a broad ``except Exception``
 that swallows an error somewhere else starves that classification (a
 fault the healer never sees is a fault it cannot heal).  A broad handler
 (bare ``except:``, ``except Exception``, ``except BaseException``) is
 allowed only when its body visibly keeps the failure alive:
 
 * it re-raises (``raise`` / ``raise X from exc``), or
-* it routes the exception into the resilience outcome path — a call to
-  ``Outcome.failure(...)`` / ``*.record_failure(...)``, or
+* it routes the exception into a failure-recording call —
+  ``*.failure(...)`` / ``*.record_failure(...)``, or
 * it carries an explicit ``# kondo: allow[KND003] reason`` suppression.
 """
 
@@ -56,7 +56,7 @@ class ErrorTaxonomyRule(Rule):
     name = "error-taxonomy"
     severity = Severity.WARNING
     summary = ("broad except handlers must re-raise or route into the "
-               "Outcome/record_failure taxonomy path")
+               "failure/record_failure taxonomy path")
     rationale = __doc__ or ""
 
     def check(self, pf: ProjectFile, project: Project
@@ -73,7 +73,7 @@ class ErrorTaxonomyRule(Rule):
             yield self.finding(
                 pf, node,
                 f"{what} swallows the failure: narrow the exception "
-                f"type, re-raise, or route it into the resilience "
-                f"outcome path (Outcome.failure / record_failure) so "
-                f"the taxonomy can classify it",
+                f"type, re-raise, or route it into a failure-recording "
+                f"call (.failure / .record_failure) so the taxonomy "
+                f"can classify it",
             )

@@ -1,24 +1,18 @@
-"""Alias and scope resolution shared by the AST rules.
+"""Alias resolution shared by the AST rules.
 
-Two facilities:
-
-* :class:`AliasTable` — maps local names to the qualified module paths
-  they were imported as (``np`` → ``numpy``, ``perf_counter`` →
-  ``time.perf_counter``), and resolves dotted call chains against that
-  table.  Resolution only succeeds when the chain is rooted at a known
-  import, which keeps rules from mistaking a local variable that happens
-  to be called ``random`` for the stdlib module.
-* module-global classification — which module-level names are *mutable*
-  state (for the executor-purity rule): reassigned names and
-  list/dict/set-valued bindings, excluding constants (``UPPER_CASE``),
-  functions, classes, and imports.
+:class:`AliasTable` maps local names to the qualified module paths they
+were imported as (``np`` → ``numpy``, ``perf_counter`` →
+``time.perf_counter``), and resolves dotted call chains against that
+table.  Resolution only succeeds when the chain is rooted at a known
+import, which keeps rules from mistaking a local variable that happens
+to be called ``random`` for the stdlib module.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -59,88 +53,3 @@ class AliasTable:
             return None
         parts.append(self.aliases[node.id])
         return ".".join(reversed(parts))
-
-
-def mutable_module_globals(tree: ast.Module) -> Set[str]:
-    """Module-level names that hold mutable, reassignable state."""
-    assigned: Dict[str, int] = {}
-    mutable: Set[str] = set()
-    immutable_kinds: Set[str] = set()
-    MUTABLE_VALUES = (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                      ast.DictComp, ast.SetComp)
-    MUTABLE_CALLS = {"list", "dict", "set", "deque", "defaultdict",
-                     "Counter", "OrderedDict", "bytearray"}
-
-    def record(target: ast.AST, value: Optional[ast.AST]) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        name = target.id
-        assigned[name] = assigned.get(name, 0) + 1
-        if value is None:
-            return
-        if isinstance(value, MUTABLE_VALUES):
-            mutable.add(name)
-        elif isinstance(value, ast.Call):
-            fn = value.func
-            called = fn.id if isinstance(fn, ast.Name) else (
-                fn.attr if isinstance(fn, ast.Attribute) else "")
-            if called in MUTABLE_CALLS:
-                mutable.add(name)
-
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for t in node.targets:
-                record(t, node.value)
-        elif isinstance(node, ast.AnnAssign):
-            record(node.target, node.value)
-        elif isinstance(node, ast.AugAssign):
-            record(node.target, None)
-            if isinstance(node.target, ast.Name):
-                mutable.add(node.target.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            immutable_kinds.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for a in node.names:
-                immutable_kinds.add(
-                    (a.asname or a.name).split(".")[0])
-    reassigned = {n for n, count in assigned.items() if count > 1}
-    out = (mutable | reassigned) - immutable_kinds
-    return {n for n in out if not n.isupper()}
-
-
-def function_locals(fn: ast.AST) -> Set[str]:
-    """Names bound inside a function/lambda (params + assignments)."""
-    bound: Set[str] = set()
-    args = fn.args
-    for a in (args.posonlyargs + args.args + args.kwonlyargs
-              + ([args.vararg] if args.vararg else [])
-              + ([args.kwarg] if args.kwarg else [])):
-        bound.add(a.arg)
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(
-                    node.ctx, (ast.Store, ast.Del)):
-                bound.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef)):
-                bound.add(node.name)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for a in node.names:
-                    bound.add((a.asname or a.name).split(".")[0])
-    return bound
-
-
-def free_name_loads(fn: ast.AST) -> List[ast.Name]:
-    """Name loads in a function body that are not locally bound."""
-    bound = function_locals(fn)
-    out: List[ast.Name] = []
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if (isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id not in bound):
-                out.append(node)
-    return out

@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, sorted_unique, unflatten_many
+from repro.arraymodel.layout import flatten_many, unflatten_many
 from repro.carving.cells import split_into_cells
 from repro.carving.merge import MergeStats, merge_hulls
 from repro.errors import GeometryError
 from repro.fuzzing.config import CarveConfig
 from repro.geometry.hull import Hull
 from repro.geometry.lattice import lattice_boundary_points
-from repro.geometry.raster import flat_indices_in_hulls, integer_points_in_hulls
+from repro.geometry.raster import flat_indices_in_hulls
+# Unused here, but imported so perfbench's tracer, which wraps
+# ``carver.integer_points_in_hulls``, still finds the name.
+from repro.geometry.raster import integer_points_in_hulls  # noqa: F401
 from repro.perf.bitmap import union_flat
 
 
@@ -79,6 +82,10 @@ class Carver:
         self.dims = tuple(int(d) for d in dims)
         self.config = config if config is not None else CarveConfig()
 
+    def hull_set(self, points: np.ndarray) -> Tuple[List[Hull], MergeStats]:
+        """The hull set ``H`` of ``(n, d)`` points, with merge diagnostics."""
+        return merge_hulls(self.build_cell_hulls(points), self.config)
+
     def build_cell_hulls(self, points: np.ndarray) -> List[Hull]:
         """SPLIT the points into cells and hull each cell (Alg 2, l. 3-5).
 
@@ -107,34 +114,18 @@ class Carver:
                 merge_stats=MergeStats(0, 0, 0, 0),
                 elapsed_seconds=time.perf_counter() - start,
             )
-        initial = self.build_cell_hulls(points)
-        merged, stats = merge_hulls(initial, self.config)
-        observed_flat = observed_flat_indices(points, self.dims)
-        perf = self.config.perf
-        if perf.bitmap_raster:
-            # Fast path: stay in flat-offset space end to end — hull
-            # rasterization and the union with the observed points both go
-            # through the bitmap, no (n, d) point stacking or re-sort.
-            carved_flat = flat_indices_in_hulls(
-                merged, self.dims, tol=self.config.raster_tol, perf=perf
-            )
-            flat = union_flat(
-                [carved_flat, observed_flat],
-                int(np.prod(self.dims)),
-                perf.bitmap_max_cells,
-            )
-        else:
-            raster = integer_points_in_hulls(
-                merged, dims=self.dims, tol=self.config.raster_tol, perf=perf
-            )
-            carved_flat = (
-                flatten_many(raster, self.dims)
-                if raster.size
-                else np.empty(0, dtype=np.int64)
-            )
-            flat = sorted_unique(np.concatenate((carved_flat, observed_flat)))
+        hulls, stats = self.hull_set(points)
+        # Stay in flat-offset space end to end: hull rasterization and
+        # the union with the observed points both go through the bitmap,
+        # no (n, d) point stacking or re-sort.
+        flat = union_flat(
+            [flat_indices_in_hulls(hulls, self.dims,
+                                   tol=self.config.raster_tol),
+             observed_flat_indices(points, self.dims)],
+            int(np.prod(self.dims)),
+        )
         return CarveResult(
-            hulls=merged,
+            hulls=hulls,
             flat_indices=flat.astype(np.int64),
             merge_stats=stats,
             elapsed_seconds=time.perf_counter() - start,

@@ -19,24 +19,25 @@ computing a hull with all respective points on which the original hulls
 were computed" [22]) — which makes the procedure output-sensitive, unlike
 classical divide-and-conquer hull merging.
 
-Two engines implement the same fixed point:
+The fixed point is Algorithm 2's pair scan: walk the hull list in order,
+and whenever hull ``i`` is CLOSE to a later hull ``j``, replace both by
+their merge appended at the end and rescan from ``i``; repeat passes
+until one makes no merge.  Done naively every pass re-evaluates CLOSE
+over all O(n^2) pairs.  :func:`merge_hulls` replays that exact scan
+order but skips the pairs whose CLOSE value is already known to be
+False:
 
-* ``scan`` — the legacy loop: every pass re-evaluates CLOSE over all
-  O(n^2) hull pairs until a pass makes no merge.
-* ``grid`` — the fast engine: hulls are bucketed by bounding box into a
-  uniform spatial grid whose cell edge is the CLOSE reach limit
-  ``max(center_d_thresh, bound_d_thresh)``, so each hull only ever tests
-  the hulls in its 3^d cell neighborhood; pairs once evaluated as
-  not-CLOSE are cached and never re-evaluated (hulls are immutable, so a
-  rejected pair stays rejected), which removes the per-pass O(n^2)
-  rescans entirely.
+* hulls are bucketed by bounding box into a uniform spatial grid whose
+  cell edge is the CLOSE reach limit
+  ``max(center_d_thresh, bound_d_thresh)``, so each hull only tests the
+  hulls in its 3^d cell neighborhood — outside it some axis gap exceeds
+  the reach limit, which forces CLOSE's bounding-box reject;
+* pairs once evaluated as not-CLOSE are cached and never re-evaluated
+  (hulls are immutable, so a rejected pair stays rejected).
 
-The grid engine replays the *exact* pair-scan order of the legacy loop —
-it only skips pairs whose CLOSE value is already known to be False
-(bounding boxes further apart than the reach limit on some axis, or a
-cached rejection) — so both engines produce the identical merge sequence,
-identical final hull list, and identical :class:`MergeStats` counters.
-The equivalence is asserted property-style in
+So the merge sequence and final hull list are those of the naive loop,
+whose reference copy lives in ``tests/oracles/merge_scan.py``; the
+equivalence is asserted property-style in
 ``tests/carving/test_merge_equivalence.py``.
 """
 
@@ -80,73 +81,9 @@ class MergeStats:
     final_hulls: int
     merges: int
     passes: int
-    #: Which engine produced the result ("scan" or "grid").
-    engine: str = "scan"
     #: How many exact CLOSE evaluations the run performed (diagnostics;
-    #: the grid engine's whole point is keeping this near-linear).
+    #: the grid and the rejection cache keep this near-linear).
     close_calls: int = 0
-
-
-def merge_hulls(
-    hulls: List[Hull],
-    config: CarveConfig,
-    engine: Optional[str] = None,
-) -> Tuple[List[Hull], MergeStats]:
-    """Iteratively merge CLOSE hulls until a fixed point (Alg 2 lines 6-11).
-
-    Each successful merge removes two hulls and inserts their union hull,
-    so the loop terminates after at most ``len(hulls) - 1`` merges.
-
-    Args:
-        engine: "grid" or "scan"; defaults to ``config.perf.grid_merge``.
-            Both engines return the identical hull list (same merge
-            sequence — see the module docstring).
-    """
-    if engine is None:
-        engine = "grid" if config.perf.grid_merge else "scan"
-    if engine == "grid":
-        return merge_hulls_grid(hulls, config)
-    return merge_hulls_scan(hulls, config)
-
-
-def merge_hulls_scan(hulls: List[Hull], config: CarveConfig
-                     ) -> Tuple[List[Hull], MergeStats]:
-    """The legacy engine: full O(n^2) pair rescans every pass."""
-    work = list(hulls)
-    initial = len(work)
-    merges = 0
-    passes = 0
-    close_calls = 0
-    changed = True
-    while changed:
-        changed = False
-        passes += 1
-        i = 0
-        while i < len(work):
-            j = i + 1
-            while j < len(work):
-                close_calls += 1
-                if close(work[i], work[j], config):
-                    merged = work[i].merge(work[j])
-                    # Remove j first (higher index) to keep i valid.
-                    work.pop(j)
-                    work.pop(i)
-                    work.append(merged)
-                    merges += 1
-                    changed = True
-                    # Restart the inner scan for the (moved) hull at i.
-                    j = i + 1
-                else:
-                    j += 1
-            i += 1
-    return work, MergeStats(
-        initial_hulls=initial,
-        final_hulls=len(work),
-        merges=merges,
-        passes=passes,
-        engine="scan",
-        close_calls=close_calls,
-    )
 
 
 @dataclass
@@ -232,12 +169,14 @@ class _SpatialGrid:
         return out
 
 
-def merge_hulls_grid(hulls: List[Hull], config: CarveConfig
-                     ) -> Tuple[List[Hull], MergeStats]:
-    """The fast engine: grid-pruned candidates + rejected-pair caching.
+def merge_hulls(hulls: List[Hull], config: CarveConfig
+                ) -> Tuple[List[Hull], MergeStats]:
+    """Iteratively merge CLOSE hulls until a fixed point (Alg 2 lines 6-11).
 
-    Replays the scan engine's exact merge sequence while skipping only
-    pair evaluations that are provably False (see module docstring).
+    Each successful merge removes two hulls and inserts their union hull,
+    so the loop terminates after at most ``len(hulls) - 1`` merges.  Only
+    pair evaluations that are provably False are skipped (see the module
+    docstring), so the merge sequence is the plain pair scan's.
     """
     initial = len(hulls)
     limit = max(config.center_d_thresh, config.bound_d_thresh)
@@ -282,7 +221,7 @@ def merge_hulls_grid(hulls: List[Hull], config: CarveConfig
                             merges += 1
                             changed = True
                             # Restart the inner scan for the (moved) hull
-                            # at i, exactly like the scan engine.
+                            # at i.
                             hid_i, h_i = work[i]
                             cand = grid.neighbors(h_i)
                             j = i + 1
@@ -295,6 +234,5 @@ def merge_hulls_grid(hulls: List[Hull], config: CarveConfig
         final_hulls=len(work),
         merges=merges,
         passes=passes,
-        engine="grid",
         close_calls=close_calls,
     )

@@ -14,12 +14,11 @@ Subcommands:
   ``all`` for the complete evaluation).
 * ``kondo visualize`` — ASCII overlay of a carved subset vs ground truth.
 * ``kondo chaos`` — fault-injection drills: verify the pipeline survives
-  flaky fetchers, killed workers, mid-campaign crashes, corrupted
-  artifacts, hung runs, and leaky runs without changing its output
+  flaky fetchers, mid-campaign crashes, corrupted artifacts, hung runs,
+  leaky runs, and killed service workers without changing its output
   (exit code = number of failed drills; ``--list`` names them).
 * ``kondo check`` — static AST invariant linter: replay determinism,
-  atomic writes, error taxonomy, layering, executor purity, resource
-  hygiene, durable writes, bounded waits, vectorized audit hot paths,
+  atomic writes, error taxonomy, layering, resource hygiene, durable writes, bounded waits, vectorized audit hot paths,
   bounded service-layer queue/socket operations, plus the
   interprocedural concurrency rules — lock-order cycles, blocking
   under a lock, fork safety — shard-merge determinism, and fenced
@@ -58,7 +57,6 @@ from repro.arraymodel import ArrayFile, ArraySchema, DebloatedArrayFile, KondoRu
 from repro.core import Kondo
 from repro.errors import KondoError
 from repro.fuzzing import FuzzConfig
-from repro.perf.config import PerfConfig
 from repro.metrics import accuracy
 from repro.workloads import default_dims, get_program, program_names
 
@@ -89,7 +87,6 @@ def cmd_analyze(args) -> int:
             return 1
     else:
         dims = _parse_dims(args.dims, program)
-    perf = PerfConfig(workers=args.workers) if args.workers else None
     supervised = (args.run_timeout is not None
                   or args.run_memory is not None)
     resilience = None
@@ -112,7 +109,6 @@ def cmd_analyze(args) -> int:
         program, dims,
         fuzz_config=FuzzConfig(rng_seed=args.seed),
         carver=args.carver,
-        perf=perf,
         resilience=resilience,
         audit_capture=args.audit_capture,
     )
@@ -315,7 +311,6 @@ def cmd_chaos(args) -> int:
         max_iter=args.max_iter,
         fetch_fail_rate=args.fail_rate,
         crash_at=args.crash_at,
-        kill_workers=args.kill_workers,
     )
     print(report.format())
     # Exit code = number of failed drills, capped below the 126+ range
@@ -382,7 +377,6 @@ def cmd_submit(args) -> int:
         max_iter=args.max_iter,
         budget_s=args.budget,
         carver=args.carver,
-        workers=args.workers,
         shards=args.shards,
         deadline_s=args.deadline,
     )
@@ -474,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="time budget in seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--carver", choices=("merge", "simple"), default="merge")
-    p.add_argument("--workers", type=int, default=0,
-                   help="debloat-test pool size (0 = serial); results are "
-                        "seed-for-seed identical either way")
     p.add_argument("--score", action="store_true",
                    help="also report precision/recall vs ground truth")
     p.add_argument("--save", help="persist the analysis artifact (.npz)")
@@ -556,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="injected remote-fetch failure probability")
     p.add_argument("--crash-at", type=int, default=150,
                    help="debloat-test call at which the campaign crashes")
-    p.add_argument("--kill-workers", type=int, default=1,
-                   help="pooled evaluations killed before recovery")
 
     p = sub.add_parser("fsck",
                        help="deep-verify a KND/KNDS file (exit 0 clean, "
@@ -647,8 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign time budget in seconds")
     p.add_argument("--carver", choices=("merge", "simple"),
                    default="merge")
-    p.add_argument("--workers", type=int, default=0,
-                   help="debloat-test pool size inside the job")
     p.add_argument("--shards", type=int, default=0,
                    help="shard the campaign into N leasable units with "
                         "independent retry/hedging; the merged result "

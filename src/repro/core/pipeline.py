@@ -19,7 +19,7 @@ Typical use::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,8 +32,6 @@ from repro.core.debloat_test import DebloatTest
 from repro.errors import ProgramError
 from repro.fuzzing.config import CarveConfig, FuzzConfig
 from repro.fuzzing.schedule import FuzzCampaignResult, FuzzSchedule
-from repro.perf.config import PerfConfig
-from repro.perf.executor import make_executor
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.supervision import supervisor_from_config
 from repro.workloads.base import Program
@@ -90,15 +88,10 @@ class Kondo:
             across file sizes).
         carver: "merge" for Kondo's bottom-up merging carver, "simple" for
             the SC baseline carver.
-        perf: convenience override — when given, replaces the ``perf``
-            layer of *both* configs (executor pool, grid merge, bitmap
-            raster).  Every setting is output-equivalent to the serial
-            defaults, so this only changes wall-clock, never results.
         resilience: convenience override — when given, replaces the
             ``resilience`` layer of the fuzz config (campaign
-            checkpointing, quarantine, worker recovery).  Like the perf
-            layer, resilience settings never change a fault-free run's
-            results.
+            checkpointing, quarantine, supervised execution).
+            Resilience settings never change a fault-free run's results.
         audit_capture: capture mode for audited debloat tests — "event"
             (per-call, the seed default) or "block" (vectorized batched
             capture; flat-index-identical results, lower audit overhead).
@@ -114,7 +107,6 @@ class Kondo:
         carve_config: Optional[CarveConfig] = None,
         auto_scale: bool = True,
         carver: str = "merge",
-        perf: Optional[PerfConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
         audit_capture: str = "event",
     ):
@@ -125,14 +117,7 @@ class Kondo:
         self.audit_capture = audit_capture
         fuzz_config = fuzz_config if fuzz_config is not None else FuzzConfig()
         carve_config = carve_config if carve_config is not None else CarveConfig()
-        if perf is not None:
-            from dataclasses import replace
-
-            fuzz_config = replace(fuzz_config, perf=perf)
-            carve_config = replace(carve_config, perf=perf)
         if resilience is not None:
-            from dataclasses import replace
-
             fuzz_config = replace(fuzz_config, resilience=resilience)
         if auto_scale:
             space = program.parameter_space(self.dims)
@@ -147,8 +132,6 @@ class Kondo:
                 # more debloat tests to outline subset boundaries — the
                 # paper's per-program time budgets grow the same way
                 # (e.g. PRL 14.4 s in 2-D vs 28 s in 3-D, Section V-C).
-                from dataclasses import replace
-
                 fuzz_config = replace(
                     fuzz_config,
                     max_iter=fuzz_config.max_iter * (self.program.ndim - 1),
@@ -188,18 +171,20 @@ class Kondo:
         """
         start = time.perf_counter()
         test = test if test is not None else self.make_test()
+        n_flat = test.n_flat
+        # Supervision runs every debloat test in a watched child; with it
+        # off the schedule calls the test directly.
+        supervisor = supervisor_from_config(self.fuzz_config.resilience)
+        if supervisor is not None:
+            test = supervisor.bind(test)
         space = self.program.parameter_space(self.dims)
         if resume_from is not None:
             schedule = FuzzSchedule.from_checkpoint(
-                test, space, self.fuzz_config, test.n_flat, resume_from
+                test, space, self.fuzz_config, n_flat, resume_from
             )
         else:
-            schedule = FuzzSchedule(test, space, self.fuzz_config, test.n_flat)
-        supervisor = supervisor_from_config(self.fuzz_config.resilience)
-        with make_executor(self.fuzz_config.perf,
-                           supervisor=supervisor) as executor:
-            fuzz = schedule.run(time_budget_s=time_budget_s,
-                                executor=executor)
+            schedule = FuzzSchedule(test, space, self.fuzz_config, n_flat)
+        fuzz = schedule.run(time_budget_s=time_budget_s)
         carve = self.carver.carve_flat(fuzz.flat_indices)
         return KondoResult(
             program=self.program.name,

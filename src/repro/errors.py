@@ -56,10 +56,6 @@ class FuzzConfigError(KondoError):
     """A fuzzing/carving configuration value is out of range."""
 
 
-class PerfConfigError(KondoError):
-    """A performance-layer configuration value is out of range."""
-
-
 class ResilienceConfigError(KondoError):
     """A resilience-layer configuration value is out of range."""
 
@@ -74,10 +70,6 @@ class CircuitOpenError(FetchError):
 
 class CheckpointError(KondoError):
     """A fuzz-campaign checkpoint could not be written, read, or applied."""
-
-
-class WorkerCrashError(KondoError):
-    """An executor worker died (or its task failed) while evaluating a batch."""
 
 
 class InjectedFault(KondoError):
@@ -116,8 +108,8 @@ class SupervisedRunError(KondoError):
         self.signal = signal
 
     def __reduce__(self):
-        # Keep the extra attributes through pickling (process pools ship
-        # these inside Outcome.failure payloads).
+        # Keep the extra attributes through pickling, e.g. when a
+        # nested supervised child ships the error over its result pipe.
         return (
             self.__class__,
             (self.args[0] if self.args else "", self.verdict,

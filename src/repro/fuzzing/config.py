@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 from repro.errors import FuzzConfigError
-from repro.perf.config import PerfConfig
 from repro.resilience.config import ResilienceConfig
 
 
@@ -55,13 +54,9 @@ class FuzzConfig:
     enable_restart: bool = True
     #: RNG seed for reproducible campaigns.
     rng_seed: int = 0
-    #: Performance layer: campaign executor pool size and batching.  The
-    #: default is the exact serial Algorithm-1 loop; any parallel setting
-    #: is seed-for-seed reproducible against it.
-    perf: PerfConfig = field(default_factory=PerfConfig)
     #: Resilience layer: campaign checkpointing, per-valuation crash
-    #: quarantine, and executor worker-failure recovery.  All off by
-    #: default, which keeps the campaign byte-identical to the seed.
+    #: quarantine, and supervised execution.  All off by default, which
+    #: keeps the campaign byte-identical to the seed.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     def __post_init__(self):
@@ -121,10 +116,6 @@ class CarveConfig:
     close_mode: str = "or"
     #: Containment slack when rasterizing hulls back to integer indices.
     raster_tol: float = 0.5
-    #: Performance layer: merge engine (spatial grid vs legacy rescans)
-    #: and raster mode (flat-index bitmap vs ``np.unique`` point union).
-    #: Both fast paths produce bit-identical carve output.
-    perf: PerfConfig = field(default_factory=PerfConfig)
 
     def __post_init__(self):
         if self.cell_size <= 0:

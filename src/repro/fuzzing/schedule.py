@@ -25,7 +25,6 @@ from repro.fuzzing.clusters import Cluster, ClusterSet
 from repro.fuzzing.config import FuzzConfig
 from repro.fuzzing.mutation import greedy_mutations, uniform_mutations
 from repro.fuzzing.parameters import ParameterSpace, Seed
-from repro.perf.executor import CampaignExecutor
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     load_campaign_state,
@@ -113,10 +112,6 @@ class FuzzSchedule:
         if n_flat <= 0:
             raise FuzzConfigError(f"n_flat must be positive, got {n_flat}")
         self.test = test
-        # The call actually evaluated: ``run`` swaps in the executor's
-        # supervised wrapper when supervision is configured, so serial
-        # (non-parallel) evaluations are contained too.
-        self._call: DebloatTestFn = test
         self.space = space
         self.config = config
         self.n_flat = n_flat
@@ -130,18 +125,12 @@ class FuzzSchedule:
         self.eps = config.eps
         self.itr = 0
         self.new_itr = 0  # iterations since the last new offset
-        # Batched execution: (v, I_v) results fetched ahead of the serial
-        # loop, aligned with the queue front.  See ``_prefetch``.  Under
-        # quarantine an entry's payload may be the exception the test
-        # raised instead of an offset array.
-        self._prefetched: deque = deque()
         # Resilience-layer state: the discovery trace and offset counter
         # live on the instance (not in run()) so checkpoints capture them
         # and a resumed campaign continues the same series.
         self.trace: List[Tuple[int, float, int]] = []
         self.n_offsets = 0
         self.quarantined: List[QuarantinedSeed] = []
-        self.n_worker_recoveries = 0
         self._elapsed_prior = 0.0
 
     # -- Alg 1 subroutines ---------------------------------------------------
@@ -154,7 +143,6 @@ class FuzzSchedule:
         uniformly at random from the whole input space Theta."
         """
         self.queue.clear()
-        self._prefetched.clear()
         wanted = self.config.n_initial
         attempts = 0
         while wanted > 0 and attempts < 50 * self.config.n_initial:
@@ -170,18 +158,9 @@ class FuzzSchedule:
                 self.queue.append(self.space.sample(self.rng))
 
     def evaluate_seed(self, v: Tuple[float, ...]) -> Seed:
-        """Run the debloat test on ``v`` and fold ``I_v`` into ``IS``."""
-        flat = np.asarray(self._call(v), dtype=np.int64).reshape(-1)
-        return self._absorb(v, flat)
-
-    def _absorb(self, v: Tuple[float, ...], flat: np.ndarray) -> Seed:
-        """Fold an already-computed ``I_v`` into ``IS`` (Alg 1 lines 6-9).
-
-        Split out of :meth:`evaluate_seed` so the batched executor path
-        can run the debloat tests ahead of time and replay the absorption
-        serially — the absorption order (and thus every RNG draw, cluster
-        update, and trace sample) is identical either way.
-        """
+        """Run the debloat test on ``v`` and fold ``I_v`` into ``IS``
+        (Alg 1 lines 6-9)."""
+        flat = np.asarray(self.test(v), dtype=np.int64).reshape(-1)
         seed = Seed(v=v, iteration=self.itr)
         if flat.size:
             fresh = ~self.bitmap[flat]
@@ -224,70 +203,6 @@ class FuzzSchedule:
             return "time_budget"
         return None
 
-    def _prefetch(self, first: Tuple[float, ...],
-                  executor: CampaignExecutor) -> None:
-        """Evaluate ``first`` plus upcoming queue entries on the pool.
-
-        The batch never crosses a restart boundary: restarts fire at
-        deterministic iteration multiples and wipe the queue, so any work
-        prefetched past the boundary would be discarded state.  Within the
-        batch the queue front is stable — mutations only append — so the
-        prefetched results stay aligned with the next pops.  Debloat tests
-        are pure reads of the program under audit (the paper's determinism
-        assumption, Definition 2), which makes concurrent evaluation safe
-        and the absorbed result sequence identical to the serial loop; the
-        only observable difference is that a stop mid-batch may leave a
-        few speculative test executions unabsorbed (diagnostic counters on
-        the test may over-count).
-        """
-        cfg = self.config
-        res = cfg.resilience
-        limit = min(executor.batch_size, 1 + len(self.queue))
-        if cfg.enable_restart:
-            next_restart = (self.itr // cfg.restart + 1) * cfg.restart
-            limit = min(limit, next_restart - self.itr)
-        items = [first] + [self.queue[k] for k in range(limit - 1)]
-        if not (res.worker_recovery or res.quarantine):
-            for v, flat in zip(items, executor.map(self.test, items)):
-                self._prefetched.append(
-                    (v, np.asarray(flat, dtype=np.int64).reshape(-1))
-                )
-            return
-        # Hardened path: per-item outcomes so one dead worker (or one
-        # raising workload) cannot poison the rest of the batch.
-        for v, outcome in zip(items, executor.map_outcomes(self.test, items)):
-            if outcome.ok:
-                self._prefetched.append(
-                    (v, np.asarray(outcome.value, dtype=np.int64).reshape(-1))
-                )
-                continue
-            error = outcome.error
-            if res.worker_recovery and getattr(error, "verdict", None) is None:
-                # Serial in-process replay: a transient worker death (or
-                # broken pool) re-evaluates cleanly; tests are pure, so
-                # the replayed result equals what the worker would have
-                # returned.  Injected crashes stay fatal by design, and a
-                # supervision kill (the error carries a verdict) is not a
-                # transient — replaying a hang or a memory hog would just
-                # burn another timeout, so it goes straight to quarantine.
-                try:
-                    flat = np.asarray(
-                        self._call(v), dtype=np.int64
-                    ).reshape(-1)
-                    self.n_worker_recoveries += 1
-                    self._prefetched.append((v, flat))
-                    continue
-                except InjectedFault:
-                    raise
-                except Exception as exc:
-                    if not res.quarantine:
-                        raise
-                    error = exc
-            if res.quarantine and not isinstance(error, InjectedFault):
-                self._prefetched.append((v, error))
-            else:
-                raise error
-
     # -- checkpointing ---------------------------------------------------------
 
     def _vs_array(self, vs) -> np.ndarray:
@@ -303,8 +218,6 @@ class FuzzSchedule:
         Together with the (pure) debloat test and the immutable config,
         the snapshot fully determines the rest of the campaign: restoring
         it and continuing replays the uninterrupted run bit-identically.
-        Prefetched-but-unabsorbed batch results are deliberately dropped —
-        they are recomputed from the queue on resume.
         """
         useful_code = {None: -1, False: 0, True: 1}
         return {
@@ -411,7 +324,6 @@ class FuzzSchedule:
                 state["quarantine_errors"], verdicts,
             )
         ]
-        self._prefetched.clear()
 
     @classmethod
     def from_checkpoint(
@@ -430,31 +342,16 @@ class FuzzSchedule:
 
     # -- the main loop ---------------------------------------------------------
 
-    def run(
-        self,
-        time_budget_s: Optional[float] = None,
-        executor: Optional[CampaignExecutor] = None,
-    ) -> FuzzCampaignResult:
+    def run(self, time_budget_s: Optional[float] = None
+            ) -> FuzzCampaignResult:
         """Execute the fuzz schedule to completion.
 
         Args:
             time_budget_s: optional wall-clock cap (the paper's fixed time
                 budgets in Section V-C), checked between iterations.
-            executor: optional campaign executor; when parallel, debloat
-                tests are evaluated in batches on its pool while the
-                schedule state machine itself stays serial, so the result
-                is seed-for-seed identical to ``executor=None``.
         """
         cfg = self.config
         res = cfg.resilience
-        parallel = executor is not None and executor.parallel
-        # Route serial evaluations (and worker-recovery replays) through
-        # the executor's supervised wrapper; identity when supervision is
-        # off, so the default path is byte-identical to the seed.
-        self._call = (
-            executor.supervise(self.test) if executor is not None
-            else self.test
-        )
         start = time.perf_counter()
         deadline = start + time_budget_s if time_budget_s is not None else None
 
@@ -477,26 +374,16 @@ class FuzzSchedule:
                 stop_reason = "exhausted"
                 break
             v = self.queue.popleft()
-            if parallel and not self._prefetched:
-                self._prefetch(v, executor)
             failure: Optional[BaseException] = None
             seed: Optional[Seed] = None
-            if self._prefetched:
-                pv, payload = self._prefetched.popleft()
-                assert pv == v, "prefetch misaligned with queue"
-                if isinstance(payload, BaseException):
-                    failure = payload
-                else:
-                    seed = self._absorb(v, payload)
-            else:
-                try:
-                    seed = self.evaluate_seed(v)
-                except InjectedFault:
-                    raise  # simulated crashes must crash (checkpoint path)
-                except Exception as exc:
-                    if not res.quarantine:
-                        raise
-                    failure = exc
+            try:
+                seed = self.evaluate_seed(v)
+            except InjectedFault:
+                raise  # simulated crashes must crash (checkpoint path)
+            except Exception as exc:
+                if not res.quarantine:
+                    raise
+                failure = exc
             if seed is None:
                 # Quarantine: record and skip — no cluster update, no
                 # mutations, no RNG draws; the iteration still counts.
@@ -552,9 +439,6 @@ def run_fuzz_schedule(
     config: FuzzConfig,
     n_flat: int,
     time_budget_s: Optional[float] = None,
-    executor: Optional[CampaignExecutor] = None,
 ) -> FuzzCampaignResult:
     """One-shot convenience wrapper around :class:`FuzzSchedule`."""
-    return FuzzSchedule(test, space, config, n_flat).run(
-        time_budget_s, executor=executor
-    )
+    return FuzzSchedule(test, space, config, n_flat).run(time_budget_s)

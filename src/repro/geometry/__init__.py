@@ -17,7 +17,7 @@ from repro.geometry.primitives import (
     dedupe_points,
     min_pairwise_distance,
 )
-from repro.geometry.raster import integer_points_in_hull, integer_points_in_hulls
+from repro.geometry.raster import flat_indices_in_hulls, integer_points_in_hulls
 
 __all__ = [
     "Hull",
@@ -33,6 +33,6 @@ __all__ = [
     "bounding_box",
     "dedupe_points",
     "min_pairwise_distance",
-    "integer_points_in_hull",
+    "flat_indices_in_hulls",
     "integer_points_in_hulls",
 ]

@@ -5,22 +5,21 @@ subset ``I'_Theta`` is a set of *array indices*.  This module converts back:
 all integer lattice points inside a hull (clipped to the array dims) — the
 indices Kondo will keep in the debloated file.
 
-Two engines:
+The union is accumulated in a flat-index ``np.bool_`` bitmap, or for
+offset spaces beyond ``DEFAULT_BITMAP_MAX_CELLS`` a sorted-int64-key
+union (ascending flat order is exactly the lexicographic row order, so
+both give the same answer), and containment tests are mostly skipped.
+Full-rank hulls are filled by per-column last-axis intervals computed
+from the halfspace form (:func:`_fill_column_spans`) with only a thin
+uncertainty band handed to exact point tests; lattice batches whose
+bounding box passes the 2^d corner containment check skip point tests
+(a box lies in a convex hull iff its corners do); and hulls whose padded
+window lies inside an already-rasterized hull are skipped outright.
 
-* **legacy** (:func:`integer_points_in_hull` + ``np.unique`` union in
-  :func:`integer_points_in_hulls`) — the seed implementation: decode every
-  candidate lattice point of the hull's bounding box, containment-test
-  each, row-stack the per-hull results and ``np.unique(..., axis=0)``.
-* **bitmap** (:func:`flat_indices_in_hulls`) — the fast path: the union is
-  accumulated in a flat-index ``np.bool_`` bitmap (ascending flat order is
-  exactly the lexicographic row order, so outputs are bit-identical), and
-  containment tests are mostly skipped.  Full-rank hulls are filled by
-  per-column last-axis intervals computed from the halfspace form
-  (:func:`_fill_column_spans`) with only a thin uncertainty band handed
-  to exact point tests; lattice batches whose bounding box passes the 2^d
-  corner containment check skip point tests (a box lies in a convex hull
-  iff its corners do); and hulls whose padded window lies inside an
-  already-rasterized hull are skipped outright.
+The result equals, bit for bit, the plain per-point raster (containment-
+test every lattice point of each hull's padded box, then
+``np.unique(..., axis=0)`` over the union) kept as the reference in
+``tests/oracles/raster_points.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from repro.arraymodel.layout import row_major_strides, unflatten_many
 from repro.geometry.hull import Hull
 from repro.perf.bitmap import FlatAccumulator, make_accumulator, ragged_aranges
-from repro.perf.config import PerfConfig
 
 #: Rasterize in batches of this many candidate lattice points to bound
 #: peak memory on large 3-D boxes.
@@ -41,14 +39,12 @@ _BATCH = 262_144
 IntBox = Tuple[np.ndarray, np.ndarray]
 
 
-def _lattice_bounds(hull: Hull, dims: Optional[Sequence[int]],
+def _lattice_bounds(hull: Hull, dims: Sequence[int],
                     pad: float) -> Optional[IntBox]:
     lo, hi = hull.bounding_box()
-    lo = np.floor(lo - pad).astype(np.int64)
-    hi = np.ceil(hi + pad).astype(np.int64)
-    if dims is not None:
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, np.asarray(dims, dtype=np.int64) - 1)
+    lo = np.maximum(np.floor(lo - pad).astype(np.int64), 0)
+    hi = np.minimum(np.ceil(hi + pad).astype(np.int64),
+                    np.asarray(dims, dtype=np.int64) - 1)
     if (lo > hi).any():
         return None
     return lo, hi
@@ -69,47 +65,6 @@ def _iter_box_points(lo: np.ndarray, hi: np.ndarray) -> Iterator[np.ndarray]:
             pts[:, axis] = rem % extents[axis] + lo[axis]
             rem = rem // extents[axis]
         yield pts
-
-
-def integer_points_in_hull(
-    hull: Hull,
-    dims: Optional[Sequence[int]] = None,
-    tol: float = 0.5,
-) -> np.ndarray:
-    """All integer points inside ``hull``, optionally clipped to ``dims``.
-
-    This is the legacy engine: every candidate lattice point of the padded
-    bounding box gets a containment test.
-
-    Args:
-        hull: the hull to rasterize.
-        dims: array extents; when given, only indices within
-            ``[0, dims)`` are returned.
-        tol: containment slack.  The default of half a lattice step makes
-            degenerate hulls (points, segments, planes) still cover the
-            integer points they were built from, and fattens full-rank
-            hulls by half a cell — matching the carver's intent that hull
-            vertices are accessed indices, not exclusive boundaries.
-
-    Returns:
-        ``(n, d)`` int64 array of lattice points, lexicographically sorted.
-    """
-    d = hull.ndim
-    bounds = _lattice_bounds(hull, dims, pad=tol)
-    if bounds is None:
-        return np.empty((0, d), dtype=np.int64)
-    lo, hi = bounds
-    out = []
-    for pts in _iter_box_points(lo, hi):
-        mask = hull.contains(pts.astype(np.float64), tol=tol)
-        if mask.any():
-            out.append(pts[mask])
-    if not out:
-        return np.empty((0, d), dtype=np.int64)
-    return np.concatenate(out, axis=0)
-
-
-# -- the bitmap engine -------------------------------------------------------
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -283,21 +238,20 @@ def flat_indices_in_hulls(
     hulls: Iterable[Hull],
     dims: Sequence[int],
     tol: float = 0.5,
-    perf: Optional[PerfConfig] = None,
 ) -> np.ndarray:
     """Sorted flat offsets of the union of the hulls' lattice points.
 
-    The bitmap engine, and the carver's native form: the union is
-    accumulated in a flat-index bitmap (or a sorted-int64-key union for
-    offset spaces beyond ``perf.bitmap_max_cells``), never materializing
-    row-stacked point sets.  Equals
-    ``flatten(integer_points_in_hulls(...))`` exactly.
+    Each hull contributes the integer points of ``[0, dims)`` within
+    ``tol`` of it.  The default of half a lattice step makes degenerate
+    hulls (points, segments, planes) still cover the integer points they
+    were built from, and fattens full-rank hulls by half a cell —
+    matching the carver's intent that hull vertices are accessed
+    indices, not exclusive boundaries.
     """
-    perf = perf if perf is not None else PerfConfig()
     dims = tuple(int(d) for d in dims)
     n_flat = int(np.prod(dims))
     strides = np.asarray(row_major_strides(dims), dtype=np.int64)
-    acc = make_accumulator(n_flat, perf.bitmap_max_cells, dims=dims)
+    acc = make_accumulator(n_flat, dims=dims)
     done: List[Tuple[Hull, np.ndarray, np.ndarray]] = []
     for hull in hulls:
         bounds = _lattice_bounds(hull, dims, pad=tol)
@@ -321,42 +275,9 @@ def flat_indices_in_hulls(
 
 def integer_points_in_hulls(
     hulls: Iterable[Hull],
-    dims: Optional[Sequence[int]] = None,
+    dims: Sequence[int],
     tol: float = 0.5,
-    ndim: Optional[int] = None,
-    perf: Optional[PerfConfig] = None,
 ) -> np.ndarray:
-    """Union of :func:`integer_points_in_hull` over several hulls.
-
-    Args:
-        ndim: explicit ambient dimension for the empty-result shape when
-            ``hulls`` is empty and ``dims`` is not given (historically
-            the shape degenerated to ``(0, 0)``, which breaks downstream
-            ``flatten_many``).
-        perf: perf configuration; ``perf.bitmap_raster`` selects the
-            flat-index bitmap union (requires ``dims``) vs the legacy
-            ``np.unique`` point-set union.  Outputs are bit-identical.
-    """
-    perf = perf if perf is not None else PerfConfig()
-    hull_list = list(hulls)
-    if not hull_list:
-        if dims is not None:
-            d = len(dims)
-        elif ndim is not None:
-            d = ndim
-        else:
-            d = 0
-        return np.empty((0, d), dtype=np.int64)
-    if dims is not None and perf.bitmap_raster:
-        flat = flat_indices_in_hulls(hull_list, dims, tol=tol, perf=perf)
-        if flat.size == 0:
-            return np.empty((0, len(dims)), dtype=np.int64)
-        return unflatten_many(flat, dims)
-    parts = [integer_points_in_hull(h, dims=dims, tol=tol) for h in hull_list]
-    parts = [p for p in parts if p.size]
-    if not parts:
-        d = len(dims) if dims is not None else (
-            ndim if ndim is not None else hull_list[0].ndim
-        )
-        return np.empty((0, d), dtype=np.int64)
-    return np.unique(np.concatenate(parts, axis=0), axis=0)
+    """:func:`flat_indices_in_hulls` as ``(n, d)`` int64 points in
+    lexicographic order."""
+    return unflatten_many(flat_indices_in_hulls(hulls, dims, tol=tol), dims)

@@ -1,32 +1,22 @@
-"""Performance layer: batched-parallel campaign execution, spatial-grid
-hull merging support, and flat-index bitmap set operations.
+"""Flat-index bitmap set operations behind the raster and the dedupes.
 
-Every fast path here is output-equivalent to the serial/legacy path it
-replaces — bit-identical ``flat_indices``, identical merge fixed points,
-seed-for-seed reproducible discovery traces.  See the "Performance
-architecture" section of DESIGN.md.
+Every operation here returns exactly what the ``np.unique`` form it
+replaced returned — ascending flat order is the lexicographic row order
+of the unflattened points.  See the "One engine per stage" section of
+DESIGN.md.
 """
 
 from repro.perf.bitmap import (
+    DEFAULT_BITMAP_MAX_CELLS,
     FlatBitmap,
     make_accumulator,
     union_flat,
     unique_flat,
     unique_lattice_points,
 )
-from repro.perf.config import (
-    DEFAULT_BITMAP_MAX_CELLS,
-    SERIAL_PERF_CONFIG,
-    PerfConfig,
-)
-from repro.perf.executor import CampaignExecutor, make_executor
 
 __all__ = [
-    "PerfConfig",
-    "SERIAL_PERF_CONFIG",
     "DEFAULT_BITMAP_MAX_CELLS",
-    "CampaignExecutor",
-    "make_executor",
     "FlatBitmap",
     "make_accumulator",
     "unique_flat",

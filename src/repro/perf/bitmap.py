@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.arraymodel.layout import row_major_strides, sorted_unique, unflatten_many
 from repro.errors import LayoutError
-from repro.perf.config import DEFAULT_BITMAP_MAX_CELLS
+
+#: Largest flat offset space (in elements) for which rasterization and
+#: deduplication use a dense ``np.bool_`` bitmap.  Beyond it they fall
+#: back to sorted-int64-key unions, which need no allocation proportional
+#: to the array volume.  2**26 bools = 64 MiB.
+DEFAULT_BITMAP_MAX_CELLS = 1 << 26
 
 #: A dense bitmap is used only when ``n_flat <= DENSE_RATIO * len(flat)``:
 #: its O(n_flat) clear-and-scan beats an O(m log m) sort of ``m`` offsets

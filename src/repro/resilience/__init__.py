@@ -1,13 +1,14 @@
 """Opt-in resilience layer: fault injection, self-healing, crash tolerance.
 
-Mirrors the perf layer's design (PR 1): a single frozen config block —
+A single frozen config block —
 :class:`ResilienceConfig`, carried by
 :class:`~repro.fuzzing.config.FuzzConfig` — switches every behaviour on,
 and the defaults are all *off*, which keeps the pipeline bit-identical to
 the seed.  Four pillars:
 
 * :mod:`repro.resilience.faults` — composable fault injectors (corrupt
-  bytes, flaky/hanging fetchers, dying workers, mid-campaign crashes)
+  bytes, flaky/hanging fetchers, hung and leaky runs, mid-campaign
+  crashes)
   used by the chaos test suite and the ``kondo chaos`` subcommand.
 * :mod:`repro.resilience.retry` — retry with exponential backoff,
   deadlines, and a circuit breaker for the remote-fetch path.
@@ -40,7 +41,6 @@ from repro.resilience.durability import (
 from repro.resilience.faults import (
     ChaosMonkey,
     CrashAt,
-    FailNTimes,
     FlakyCallable,
     HangForever,
     MemoryHog,
@@ -66,7 +66,6 @@ __all__ = [
     "ChaosMonkey",
     "CircuitBreaker",
     "CrashAt",
-    "FailNTimes",
     "FlakyCallable",
     "FsckReport",
     "HangForever",

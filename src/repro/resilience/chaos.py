@@ -1,66 +1,63 @@
 """End-to-end chaos drills: run the pipeline with faults armed, verify
 the resilience layer heals every one of them.
 
-Fifteen drills, one per failure class the resilience layer covers:
+Fourteen drills, one per failure class the resilience layer covers:
 
-1. **worker-killed** — debloat tests run on a pool with the first
-   ``kill_workers`` evaluations failing; worker recovery must replay
-   them serially and the campaign output must equal the fault-free run.
-2. **crash-resume** — the campaign is crashed at a chosen iteration and
+1. **crash-resume** — the campaign is crashed at a chosen iteration and
    resumed from its checkpoint; observed and carved offsets must be
    bit-identical to the uninterrupted run.
-3. **flaky-fetch** — a deliberately-undersized subset is executed with a
+2. **flaky-fetch** — a deliberately-undersized subset is executed with a
    remote fetcher failing at the configured rate; retry + breaker +
    local fallback must serve every read.
-4. **heal** — the misses from drill 3 are re-carved into the subset; a
+3. **heal** — the misses from drill 2 are re-carved into the subset; a
    re-run of the healed subset must have zero misses.
-5. **corrupt-artifact** — KND/KNDS copies are byte-flipped and
+4. **corrupt-artifact** — KND/KNDS copies are byte-flipped and
    truncated; every open must fail with ``FileFormatError``, never
    garbage or an uncontrolled exception.
-6. **corrupt-span-degrades** — a journaled bundle is bit-rotted at
+5. **corrupt-span-degrades** — a journaled bundle is bit-rotted at
    several seeded sites; a degrade-mode runtime over the damaged file
    must serve every read bit-identical to the source (corrupt spans
    become misses → fallback), and ``repair_bundle`` must re-fetch only
    the damaged spans and restore a clean fsck.
-7. **torn-patch-recovers** — a journaled heal is committed, then two
+6. **torn-patch-recovers** — a journaled heal is committed, then two
    crash states are injected (a torn journal-log tail, and a BEGIN
    record with no COMMIT); journal recovery must leave the bundle
    byte-for-byte at a committed generation — never a hybrid.
-8. **hung-run-times-out** — one supervised debloat test hangs forever;
+7. **hung-run-times-out** — one supervised debloat test hangs forever;
    the wall-clock watchdog must kill it (verdict TIMEOUT), the campaign
    must quarantine it and complete, a replay must be identical, and a
    crash + checkpoint resume must preserve the verdict bit-identically.
-9. **leaky-run-contained** — one supervised debloat test allocates far
+8. **leaky-run-contained** — one supervised debloat test allocates far
    past the run's memory headroom; the child's ``RLIMIT_AS`` must stop
    it (verdict OOM) with the parent campaign unharmed.
-10. **worker-killed-mid-job-requeues** — a ``kondo serve`` worker's
-    supervised child is SIGKILLed mid-job; the daemon must record the
-    SIGNALED failure, retry under the retry budget, and the retried
-    attempt must produce a result digest bit-identical to an
-    uninterrupted run — with exactly one landed completion.
-11. **serve-crash-recovers-queue** — a ``kondo serve`` daemon is
+9. **worker-killed-mid-job-requeues** — a ``kondo serve`` worker's
+   supervised child is SIGKILLed mid-job; the daemon must record the
+   SIGNALED failure, retry under the retry budget, and the retried
+   attempt must produce a result digest bit-identical to an
+   uninterrupted run — with exactly one landed completion.
+10. **serve-crash-recovers-queue** — a ``kondo serve`` daemon is
     crash-stopped with jobs accepted and a spec record torn mid-write;
     a restarted daemon must read the torn record as no job, run every
     accepted job, and complete each exactly once — no lost jobs, no
     duplicates.
-12. **shard-worker-killed-requeues-only-lost-shards** — one shard of a
+11. **shard-worker-killed-requeues-only-lost-shards** — one shard of a
     sharded campaign is SIGKILLed mid-attempt; the daemon must retry
     *only that shard* (every other shard keeps its single clean
     attempt), and the merged result must be bit-identical to the
     no-fault sharded reference.
-13. **straggler-hedge-first-completion-wins** — one shard's primary
+12. **straggler-hedge-first-completion-wins** — one shard's primary
     attempt is parked as a straggler; a free worker must launch a
     speculative duplicate, the duplicate's completion must win, the
     fenced loser must be killed without burning the shard's retry
     budget, and the merged result must be bit-identical to the
     no-fault run.
-14. **fleet-partition-heals** — one of two fleet daemons loses the
+13. **fleet-partition-heals** — one of two fleet daemons loses the
     shared store mid-fleet; it must degrade to typed read-only
     partition mode (``PARTITIONED`` rejections, degraded status) while
     the survivor completes the campaign bit-identically, then heal,
     rejoin under a bumped registry epoch, and serve the finished
     result.
-15. **stale-worker-fenced-out** — a fleet worker pauses past its shard
+14. **stale-worker-fenced-out** — a fleet worker pauses past its shard
     lease; a peer reclaims the shard under a higher fencing token and
     finishes the campaign, and the stale worker's late completion must
     be rejected whole (``StaleTokenError``) — one completion per
@@ -85,14 +82,12 @@ from repro.arraymodel.schema import ArraySchema
 from repro.core.pipeline import Kondo
 from repro.errors import FileFormatError, InjectedFault, KondoError
 from repro.fuzzing.config import FuzzConfig
-from repro.perf.config import PerfConfig
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.durability.fsck import fsck_file
 from repro.resilience.durability.journal import BundleJournal, _seal_record
 from repro.resilience.durability.repair import repair_bundle
 from repro.resilience.faults import (
     CrashAt,
-    FailNTimes,
     FlakyCallable,
     HangForever,
     MemoryHog,
@@ -106,7 +101,6 @@ from repro.workloads import default_dims, get_program
 #: Every drill ``run_chaos`` executes, in execution order (the
 #: ``kondo chaos --list`` output and the e2e suite's expected set).
 DRILL_NAMES = (
-    "worker-killed",
     "crash-resume",
     "flaky-fetch",
     "heal",
@@ -184,7 +178,6 @@ def run_chaos(
     max_iter: int = 400,
     fetch_fail_rate: float = 0.5,
     crash_at: int = 150,
-    kill_workers: int = 1,
     keep_fraction: float = 0.5,
     workdir: Optional[str] = None,
 ) -> ChaosReport:
@@ -198,7 +191,6 @@ def run_chaos(
         max_iter: campaign iteration budget (keeps drills fast).
         fetch_fail_rate: injected remote-fetch failure probability.
         crash_at: debloat-test call at which the campaign is crashed.
-        kill_workers: pooled evaluations that die before recovery.
         keep_fraction: fraction of the carved subset shipped in the
             flaky-fetch drill (``< 1`` guarantees observable misses).
         workdir: scratch directory (a temp dir is created when omitted).
@@ -213,9 +205,6 @@ def run_chaos(
         # Fault-free reference run (serial, no resilience).
         baseline = Kondo(program, dims, fuzz_config=fuzz).analyze()
 
-        report.checks.append(
-            _drill_worker_killed(program, dims, fuzz, baseline, kill_workers)
-        )
         report.checks.append(
             _drill_crash_resume(program, dims, fuzz, baseline, crash_at,
                                 workdir)
@@ -263,27 +252,6 @@ def _identical(result, baseline) -> bool:
     return (
         np.array_equal(result.observed_flat, baseline.observed_flat)
         and np.array_equal(result.carved_flat, baseline.carved_flat)
-    )
-
-
-def _drill_worker_killed(program, dims, fuzz, baseline,
-                         kill_workers: int) -> ChaosCheck:
-    resilience = ResilienceConfig(worker_recovery=True)
-    kondo = Kondo(
-        program, dims, fuzz_config=fuzz,
-        perf=PerfConfig(workers=2, batch_size=8),
-        resilience=resilience,
-    )
-    test = _wrap_test(kondo, FailNTimes, kill_workers)
-    try:
-        result = kondo.analyze(test=test)
-    except KondoError as exc:
-        return ChaosCheck("worker-killed", False, f"campaign died: {exc}")
-    ok = _identical(result, baseline)
-    return ChaosCheck(
-        "worker-killed", ok,
-        f"{test.failures} worker failure(s) injected, "
-        f"output {'identical to' if ok else 'DIVERGED from'} fault-free run",
     )
 
 

@@ -2,7 +2,7 @@
 
 :class:`ResilienceConfig` is the single knob block for the resilience
 layer, carried by :class:`~repro.fuzzing.config.FuzzConfig` (checkpointing,
-quarantine, worker recovery) and consumed directly by the self-healing
+quarantine, supervised execution) and consumed directly by the self-healing
 runtime (fetch retry / breaker / fallback).  Every default is *off*: a
 pipeline run with the default config behaves — state for state, byte for
 byte — like one without the resilience layer at all.
@@ -37,9 +37,6 @@ class ResilienceConfig:
         checkpoint_every: iterations between campaign checkpoints.
         quarantine: record-and-skip valuations whose debloat test raises,
             instead of aborting the campaign.
-        worker_recovery: when a pooled debloat test fails (worker death
-            included), replay the failed items serially in-process
-            instead of aborting the batch.
         keep_generations: journal generation snapshots retained per
             bundle by the durability layer (``0`` keeps all; ``N > 0``
             prunes to the newest N, bounding journal disk use at the
@@ -69,7 +66,6 @@ class ResilienceConfig:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 100
     quarantine: bool = False
-    worker_recovery: bool = False
     keep_generations: int = 0
     run_timeout_s: Optional[float] = None
     run_memory_mb: Optional[int] = None

@@ -1,9 +1,9 @@
 """Composable fault injectors for chaos testing the pipeline.
 
 Each injector wraps one dependency the pipeline trusts — file bytes, the
-remote fetcher, the executor's workers, the campaign loop itself — and
-makes it fail the way production does: corrupt artifacts, flaky or
-hanging RPCs, dying pool workers, processes killed mid-campaign.  The
+remote fetcher, the debloat test, the campaign loop itself — and makes
+it fail the way production does: corrupt artifacts, flaky or hanging
+RPCs, hung or leaking runs, processes killed mid-campaign.  The
 chaos test suite (``pytest -m chaos``) and the ``kondo chaos`` subcommand
 drive these against the resilience layer and assert the pipeline's output
 is unchanged.
@@ -208,58 +208,6 @@ class FlakyCallable:
                 f"injected fetch failure #{self.failures} "
                 f"(call {self.calls}, rate {self.fail_rate})"
             )
-        return self.fn(*args, **kwargs)
-
-
-class FailNTimes:
-    """Wrap a callable so its first ``n`` invocations raise.
-
-    Models a worker that dies on its first ``n`` task(s) but whose work is
-    recoverable by replay — the executor-hardening path.  Thread-safe
-    enough for pool use: the counter may overshoot under races, which only
-    injects *more* failures, never fewer.
-    """
-
-    def __init__(self, fn: Callable, n: int = 1,
-                 exception: Callable[[str], BaseException] = InjectedFault):
-        self.fn = fn
-        self.n = n
-        self.exception = exception
-        self.calls = 0
-        self.failures = 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        if self.failures < self.n:
-            self.failures += 1
-            raise self.exception(
-                f"injected worker failure {self.failures}/{self.n}"
-            )
-        return self.fn(*args, **kwargs)
-
-
-class WorkerSuicide:
-    """A picklable wrapper that hard-kills the worker *process* once.
-
-    For ``backend="process"`` pools only: the first call in a fresh
-    worker calls ``os._exit``, which takes the whole
-    ``ProcessPoolExecutor`` down with ``BrokenProcessPool`` — the real
-    "killed worker" failure, not a polite exception.  The sentinel file
-    makes the suicide one-shot across processes.
-    """
-
-    def __init__(self, fn: Callable, sentinel_path: str):
-        self.fn = fn
-        self.sentinel_path = sentinel_path
-
-    def __call__(self, *args, **kwargs):
-        if not os.path.exists(self.sentinel_path):
-            # kondo: allow[KND002] one-shot crash sentinel read only by
-            # existence check; a torn write is harmless and the process
-            # is about to _exit anyway
-            with open(self.sentinel_path, "w") as fh:
-                fh.write(str(os.getpid()))
-            os._exit(17)
         return self.fn(*args, **kwargs)
 
 
@@ -519,7 +467,6 @@ class ChaosMonkey:
 
     fetch_fail_rate: float = 0.0
     fetch_seed: int = 0
-    kill_workers: int = 0
     crash_on_call: Optional[int] = None
     hang_on_call: Optional[int] = None
     hog_on_call: Optional[int] = None
@@ -529,8 +476,6 @@ class ChaosMonkey:
     def wrap_test(self, test: Callable) -> Callable:
         """Arm the debloat-test-side injectors around ``test``."""
         wrapped = test
-        if self.kill_workers > 0:
-            wrapped = FailNTimes(wrapped, n=self.kill_workers)
         if self.hang_on_call is not None:
             wrapped = HangForever(wrapped, self.hang_on_call)
         if self.hog_on_call is not None:

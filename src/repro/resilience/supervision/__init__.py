@@ -6,8 +6,8 @@ checkpoints, and durable bundles all assume every debloat-test execution
 debloat-test call can run in a forked child with POSIX rlimits, a
 heartbeat pipe, a wall-clock watchdog, and a graceful-then-forceful kill
 escalation (SIGTERM → grace → SIGKILL).  Each run closes with a typed
-:class:`RunVerdict` that flows into the executor's ``Outcome`` path, the
-campaign quarantine list, and checkpoints.
+:class:`RunVerdict` that flows into the campaign quarantine list and
+checkpoints.
 
 All knobs default to *off* (``ResilienceConfig``): a pipeline without
 ``run_timeout_s`` / ``run_memory_mb`` / ``heartbeat_interval_s`` set

@@ -112,8 +112,8 @@ def _child_main(supervisor: "Supervisor", fn: Callable, args: tuple,
         # unpicklable precisely because memory is exhausted).
         payload = ("oom", "MemoryError: address-space limit reached")
     # kondo: allow[KND003] the child ships every failure to the parent
-    # over the result pipe, where it re-enters the Outcome/quarantine
-    # taxonomy — nothing is swallowed
+    # over the result pipe, where it re-enters the quarantine taxonomy —
+    # nothing is swallowed
     except BaseException as exc:  # noqa: BLE001
         payload = ("err", exc)
     stop.set()
@@ -195,11 +195,9 @@ class Supervisor:
             forwards these into its lease heartbeats, so a job's lease
             stays fresh exactly as long as the child itself is alive.
 
-    Instances are frozen (safely shareable across pool threads) and,
-    with the callbacks left at ``None``, picklable (a process-backend
-    executor ships the bound wrapper to its workers, each of which forks
-    grandchildren for the actual runs).  Callback-carrying supervisors
-    are for direct in-process use only.
+    Instances are frozen (safely shareable across threads) and, with
+    the callbacks left at ``None``, picklable.  Callback-carrying
+    supervisors are for direct in-process use only.
     """
 
     timeout_s: Optional[float] = None
@@ -395,7 +393,7 @@ class SupervisedCall:
       ``InjectedFault`` still crashes campaigns and quarantine reprs
       match the unsupervised path byte for byte);
     * anything else — :class:`~repro.errors.SupervisedRunError` carrying
-      the verdict string, for the quarantine/Outcome layers to record.
+      the verdict string, for the quarantine layer to record.
     """
 
     def __init__(self, supervisor: Supervisor, fn: Callable):

@@ -2,9 +2,8 @@
 
 Every supervised child process ends in exactly one of six ways, and the
 supervisor's whole job is to map the messy reality of POSIX process
-death onto this closed set so the campaign layers above (the executor's
-``Outcome`` path, the quarantine list, campaign checkpoints) can act on
-it deterministically:
+death onto this closed set so the campaign layers above (the quarantine
+list, campaign checkpoints) can act on it deterministically:
 
 ==================  =====================================================
 verdict             meaning

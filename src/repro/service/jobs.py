@@ -61,6 +61,21 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as a plain int; bools, floats and strings are rejected
+    rather than coerced, so a malformed spec never aliases a real one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise JobRejectedError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_seconds(name: str, value) -> None:
+    if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise JobRejectedError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One debloat job: the (program, Θ, D) triple plus run limits.
@@ -74,9 +89,6 @@ class JobSpec:
         budget_s: campaign wall-clock budget (part of Θ: it can stop the
             campaign early, so two budgets are two different campaigns).
         carver: ``"merge"`` or ``"simple"`` (part of Θ).
-        workers: debloat-test pool size for the execution.  *Not* part
-            of Θ — pooled and serial campaigns are seed-for-seed
-            identical, so they share a cache entry.
         shards: shard the campaign into this many leasable units
             (``0`` = the legacy single-campaign path).  *Whether* a job
             is sharded is part of Θ (the sharded decomposition is a
@@ -97,7 +109,6 @@ class JobSpec:
     max_iter: Optional[int] = None
     budget_s: Optional[float] = None
     carver: str = "merge"
-    workers: int = 0
     shards: int = 0
     data_sha256: Optional[str] = None
     deadline_s: Optional[float] = None
@@ -105,10 +116,19 @@ class JobSpec:
     def __post_init__(self):
         if not self.program:
             raise JobRejectedError("job spec needs a program name")
-        dims = tuple(int(d) for d in self.dims)
+        if not isinstance(self.dims, (list, tuple)):
+            raise JobRejectedError(f"dims must be a list, got {self.dims!r}")
+        dims = tuple(_require_int("dims", d) for d in self.dims)
         if not dims or any(d <= 0 for d in dims):
             raise JobRejectedError(f"bad dims {self.dims!r}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "seed", _require_int("seed", self.seed))
+        if self.max_iter is not None:
+            object.__setattr__(self, "max_iter",
+                               _require_int("max_iter", self.max_iter))
+        object.__setattr__(self, "shards", _require_int("shards", self.shards))
+        _require_seconds("budget_s", self.budget_s)
+        _require_seconds("deadline_s", self.deadline_s)
         if self.carver not in ("merge", "simple"):
             raise JobRejectedError(f"unknown carver {self.carver!r}")
         if self.max_iter is not None and self.max_iter <= 0:
@@ -119,8 +139,6 @@ class JobSpec:
             raise JobRejectedError(
                 f"deadline_s must be > 0, got {self.deadline_s}"
             )
-        if self.workers < 0:
-            raise JobRejectedError(f"workers must be >= 0, got {self.workers}")
         if not 0 <= self.shards <= 64:
             raise JobRejectedError(
                 f"shards must be in [0, 64], got {self.shards}"
@@ -175,7 +193,6 @@ class JobSpec:
             "max_iter": self.max_iter,
             "budget_s": self.budget_s,
             "carver": self.carver,
-            "workers": self.workers,
             "shards": self.shards,
             "data_sha256": self.data_sha256,
             "deadline_s": self.deadline_s,
@@ -194,8 +211,7 @@ class JobSpec:
         if "program" not in obj or "dims" not in obj:
             raise JobRejectedError("job spec needs 'program' and 'dims'")
         try:
-            return cls(**{k: (tuple(v) if k == "dims" else v)
-                          for k, v in obj.items()})
+            return cls(**obj)
         except (TypeError, ValueError) as exc:
             raise JobRejectedError(f"malformed job spec: {exc}") from exc
 

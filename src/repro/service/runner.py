@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core import Kondo
 from repro.fuzzing import FuzzConfig
-from repro.perf.config import PerfConfig
 from repro.service.jobs import JobSpec
 from repro.workloads import get_program
 
@@ -57,8 +56,6 @@ def execute_job(spec_json: dict) -> dict:
     fuzz = FuzzConfig(rng_seed=spec.seed)
     if spec.max_iter is not None:
         fuzz = replace(fuzz, max_iter=spec.max_iter)
-    perf = PerfConfig(workers=spec.workers) if spec.workers else None
-    kondo = Kondo(program, spec.dims, fuzz_config=fuzz,
-                  carver=spec.carver, perf=perf)
+    kondo = Kondo(program, spec.dims, fuzz_config=fuzz, carver=spec.carver)
     result = kondo.analyze(time_budget_s=spec.budget_s)
     return result_digest(result)

@@ -55,9 +55,11 @@ class TestCheckCli:
         out = capsys.readouterr().out
         assert rc == 0
         for rid in ("KND001", "KND002", "KND003", "KND004",
-                    "KND005", "KND006", "KND007", "KND008",
-                    "KND009", "KND010", "KND011", "KND012", "KND013"):
+                    "KND006", "KND007", "KND008", "KND009", "KND010",
+                    "KND011", "KND012", "KND013", "KND014", "KND015"):
             assert rid in out
+        # Retired with the campaign executor pool.
+        assert "KND005" not in out
 
     def test_select_limits_rules(self, tmp_path, capsys):
         root = make_tree(tmp_path, {

@@ -157,35 +157,6 @@ class TestKND004Layering:
         assert findings == []
 
 
-class TestKND005ExecutorPurity:
-    def test_pooled_callable_touching_mutable_global_fires(self, tmp_path):
-        findings = check_tree(tmp_path, {
-            "repro/perf/bad.py": (
-                "_cache = {}\n\n\n"
-                "def work(item):\n"
-                "    _cache[item] = True\n"
-                "    return item\n\n\n"
-                "def run(executor, items):\n"
-                "    lam = executor.submit(lambda v: _cache.get(v), 1)\n"
-                "    return executor.map_outcomes(work, items), lam\n"
-            ),
-        }, select=["KND005"])
-        assert rule_ids(findings) == ["KND005", "KND005"]
-        assert all("_cache" in f.message for f in findings)
-
-    def test_pure_callables_and_constants_are_clean(self, tmp_path):
-        findings = check_tree(tmp_path, {
-            "repro/perf/good.py": (
-                "SCALE = 3\n\n\n"
-                "def work(item):\n"
-                "    return item * SCALE\n\n\n"
-                "def run(executor, items):\n"
-                "    return executor.map_outcomes(work, items)\n"
-            ),
-        }, select=["KND005"])
-        assert findings == []
-
-
 class TestKND006ResourceHygiene:
     def test_leaked_handle_fires(self, tmp_path):
         findings = check_tree(tmp_path, {

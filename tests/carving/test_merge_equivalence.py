@@ -1,21 +1,25 @@
-"""Property test: the grid merge engine is equivalent to the legacy scan.
+"""Property test: the merge engine is equivalent to the naive pair scan.
 
-The acceptance bar for the perf layer (satellite of the fast-path PR):
-on arbitrary point clouds the two engines must reach the same fixed
-point — the same hull count, the same hulls in the same order, the same
-merge/pass counters — and a carver configured with either engine must
-produce identical carved ``flat_indices``.
+On arbitrary point clouds :func:`merge_hulls` must reach the fixed point
+of the reference scan in ``tests/oracles/merge_scan.py`` — the same hull
+count, the same hulls in the same order, the same merge/pass counters —
+and the carver must produce the carved ``flat_indices`` of the reference
+pipeline (scan merge, per-point raster, sorted union with the observed
+points).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arraymodel.layout import flatten_many, sorted_unique
 from repro.carving import Carver
-from repro.carving.merge import merge_hulls, merge_hulls_grid, merge_hulls_scan
+from repro.carving.carver import observed_flat_indices
+from repro.carving.merge import merge_hulls
 from repro.fuzzing import CarveConfig
 from repro.geometry.hull import Hull
-from repro.perf import SERIAL_PERF_CONFIG, PerfConfig
+from tests.oracles.merge_scan import merge_hulls_scan
+from tests.oracles.raster_points import integer_points_in_hulls
 
 
 def _random_hulls(rng, d, n_hulls, extent=120.0, spread=8.0):
@@ -29,13 +33,13 @@ def _random_hulls(rng, d, n_hulls, extent=120.0, spread=8.0):
 
 def _assert_equivalent(hulls, config):
     scan_hulls, scan_stats = merge_hulls_scan(hulls, config)
-    grid_hulls, grid_stats = merge_hulls_grid(hulls, config)
+    grid_hulls, grid_stats = merge_hulls(hulls, config)
     assert len(scan_hulls) == len(grid_hulls)
     for a, b in zip(scan_hulls, grid_hulls):
         assert a == b
     assert scan_stats.merges == grid_stats.merges
     assert scan_stats.passes == grid_stats.passes
-    # The whole point of the grid engine: never more CLOSE evaluations.
+    # The whole point of the grid and the cache: never more CLOSE calls.
     assert grid_stats.close_calls <= scan_stats.close_calls
 
 
@@ -82,32 +86,25 @@ class TestMergeEngineEquivalence:
         _assert_equivalent(hulls, config)
         assert len(scan_hulls) == 1
 
-    def test_dispatch_follows_perf_config(self):
-        rng = np.random.default_rng(5)
-        hulls = _random_hulls(rng, 2, 6)
-        _, stats = merge_hulls(hulls, CarveConfig(perf=PerfConfig()))
-        assert stats.engine == "grid"
-        _, stats = merge_hulls(hulls, CarveConfig(perf=SERIAL_PERF_CONFIG))
-        assert stats.engine == "scan"
-        _, stats = merge_hulls(hulls, CarveConfig(), engine="scan")
-        assert stats.engine == "scan"
-
 
 class TestCarverEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000),
            d=st.sampled_from([2, 3]))
     @settings(max_examples=20, deadline=None)
     def test_carved_flat_indices_bit_identical(self, seed, d):
-        """Fast carver (grid + bitmap) == legacy carver, index for index."""
+        """Carver (grid merge + bitmap raster) == the reference pipeline,
+        index for index."""
         rng = np.random.default_rng(seed)
         dims = (24,) * d
         n = int(rng.integers(1, 80))
         pts = rng.integers(0, 24, size=(n, d)).astype(np.float64)
-        legacy = Carver(dims, CarveConfig(cell_size=8,
-                                          perf=SERIAL_PERF_CONFIG))
-        fast = Carver(dims, CarveConfig(cell_size=8, perf=PerfConfig()))
-        a = legacy.carve_points(pts)
-        b = fast.carve_points(pts)
-        assert a.n_hulls == b.n_hulls
-        assert a.flat_indices.dtype == b.flat_indices.dtype
-        assert np.array_equal(a.flat_indices, b.flat_indices)
+        config = CarveConfig(cell_size=8)
+        carver = Carver(dims, config)
+        hulls, _ = merge_hulls_scan(carver.build_cell_hulls(pts), config)
+        raster = integer_points_in_hulls(hulls, dims, tol=config.raster_tol)
+        expected = sorted_unique(np.concatenate(
+            (flatten_many(raster, dims), observed_flat_indices(pts, dims))))
+        got = carver.carve_points(pts)
+        assert got.n_hulls == len(hulls)
+        assert got.flat_indices.dtype == np.int64
+        assert np.array_equal(got.flat_indices, expected)

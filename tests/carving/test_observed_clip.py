@@ -8,13 +8,11 @@ in-window index — before unioning them with the rasterized hulls.
 """
 
 import numpy as np
-import pytest
 
 from repro.arraymodel.layout import flatten_many
 from repro.carving import Carver, SimpleConvexCarver
 from repro.carving.carver import observed_flat_indices
 from repro.fuzzing import CarveConfig
-from repro.perf import SERIAL_PERF_CONFIG, PerfConfig
 
 
 class TestObservedFlatIndices:
@@ -36,12 +34,9 @@ class TestObservedFlatIndices:
         assert np.array_equal(got, flatten_many(np.array([[0, 3]]), (8, 8)))
 
 
-@pytest.mark.parametrize(
-    "perf", [SERIAL_PERF_CONFIG, PerfConfig()], ids=["legacy", "fast"]
-)
 class TestCarverBoundaryPoints:
-    def test_carve_survives_boundary_observations(self, perf):
-        carver = Carver((16, 16), CarveConfig(cell_size=8, perf=perf))
+    def test_carve_survives_boundary_observations(self):
+        carver = Carver((16, 16), CarveConfig(cell_size=8))
         pts = np.array([[15.51, 15.49], [14.0, 15.0], [-0.49, 0.2]])
         result = carver.carve_points(pts)
         corner = flatten_many(np.array([[15, 15]]), (16, 16))[0]
@@ -51,8 +46,8 @@ class TestCarverBoundaryPoints:
         assert result.flat_indices.min() >= 0
         assert result.flat_indices.max() < 16 * 16
 
-    def test_simple_convex_survives_boundary_observations(self, perf):
-        carver = SimpleConvexCarver((16, 16), CarveConfig(perf=perf))
+    def test_simple_convex_survives_boundary_observations(self):
+        carver = SimpleConvexCarver((16, 16))
         pts = np.array([[15.51, 15.49], [8.0, 8.0]])
         result = carver.carve_points(pts)
         assert result.flat_indices.max() < 16 * 16

@@ -48,7 +48,6 @@ class TestResilienceConfig:
     def test_defaults_are_all_off(self):
         assert not NO_RESILIENCE.checkpointing
         assert not NO_RESILIENCE.quarantine
-        assert not NO_RESILIENCE.worker_recovery
         assert NO_RESILIENCE.fetch_retries == 0
         assert NO_RESILIENCE.breaker_threshold == 0
 

@@ -8,7 +8,6 @@ from repro.errors import FetchError, InjectedFault, ResilienceConfigError
 from repro.resilience.faults import (
     ChaosMonkey,
     CrashAt,
-    FailNTimes,
     FlakyCallable,
     HangForever,
     MemoryHog,
@@ -162,22 +161,6 @@ class TestFlakyCallable:
             FlakyCallable(lambda: 1, fail_rate=1.5)
 
 
-class TestFailNTimes:
-    def test_first_n_calls_raise_then_pass_through(self):
-        wrapped = FailNTimes(lambda x: x + 1, n=2)
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                wrapped(0)
-        assert wrapped(41) == 42
-        assert wrapped.failures == 2
-        assert wrapped.calls == 3
-
-    def test_custom_exception(self):
-        wrapped = FailNTimes(lambda: 1, n=1, exception=FetchError)
-        with pytest.raises(FetchError):
-            wrapped()
-
-
 class TestCrashAt:
     def test_crashes_on_exact_call(self):
         wrapped = CrashAt(lambda x: x, crash_on_call=3)
@@ -253,10 +236,10 @@ class TestHangAndHogInjectors:
 
 class TestChaosMonkey:
     def test_wrap_test_composes_injectors(self):
-        monkey = ChaosMonkey(kill_workers=1, crash_on_call=5)
+        monkey = ChaosMonkey(hang_on_call=3, crash_on_call=5)
         wrapped = monkey.wrap_test(lambda x: x)
         assert isinstance(wrapped, CrashAt)
-        assert isinstance(wrapped.fn, FailNTimes)
+        assert isinstance(wrapped.fn, HangForever)
 
     def test_wrap_test_chains_hang_and_hog(self):
         monkey = ChaosMonkey(crash_on_call=5, hang_on_call=3, hog_on_call=4)

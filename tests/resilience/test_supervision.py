@@ -1,7 +1,7 @@
 """Unit + property tests for supervised execution.
 
 Covers the verdict taxonomy (one test per verdict), the escalation
-ladder, the executor integration, and the determinism property: a
+ladder, and the determinism property: a
 supervised campaign with no faults injected produces the same carve
 results and the same checkpoint state (modulo wall-clock fields) as an
 unsupervised one.
@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 from repro.core.pipeline import Kondo
 from repro.errors import ResilienceConfigError, SupervisedRunError
 from repro.fuzzing import FuzzConfig
-from repro.perf.config import PerfConfig
-from repro.perf.executor import make_executor
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.checkpoint import load_campaign_state
 from repro.resilience.supervision import (
@@ -35,7 +33,7 @@ from repro.resilience.supervision import (
 from repro.workloads import get_program
 
 
-# -- module-level workloads (picklable for process-pool transport) ----------
+# -- module-level workloads (picklable for the supervised child) -------------
 
 def _double(x):
     return 2 * x
@@ -206,28 +204,6 @@ class TestSupervisedCall:
                                  signal=9)
         back = pickle.loads(pickle.dumps(err))
         assert (str(back), back.verdict, back.signal) == ("msg", "OOM", 9)
-
-
-class TestExecutorIntegration:
-    def test_supervise_is_identity_without_a_supervisor(self):
-        with make_executor() as ex:
-            assert ex.supervise(_double) is _double
-
-    def test_serial_map_runs_supervised(self):
-        sup = Supervisor(timeout_s=10.0)
-        with make_executor(supervisor=sup) as ex:
-            assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
-
-    def test_pool_map_outcomes_carries_verdicts(self):
-        sup = Supervisor(timeout_s=0.3)
-        config = PerfConfig(workers=2, backend="thread")
-        with make_executor(config, supervisor=sup) as ex:
-            outcomes = ex.map_outcomes(_sleep_forever, [1, 2])
-            assert [o.ok for o in outcomes] == [False, False]
-            assert all(
-                getattr(o.error, "verdict", None) == "TIMEOUT"
-                for o in outcomes
-            )
 
     def test_supervised_result_dataclass(self):
         r = SupervisedResult(verdict=RunVerdict.OK, value=1, elapsed_s=0.0)

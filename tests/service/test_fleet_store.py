@@ -565,14 +565,36 @@ class TestFleetStoreProtocol:
         assert store.submit(spec(seed=1))
         assert len(store.jobs()) == 2
 
-    def test_workers_not_part_of_identity(self):
-        # Pooled and serial campaigns are seed-for-seed identical, so
-        # they must share one job.
-        assert spec(workers=0).key == spec(workers=4).key
-
     def test_unknown_spec_field_rejected(self):
         with pytest.raises(JobRejectedError, match="unknown job spec"):
             JobSpec.from_json({"program": "CS", "dims": [4], "bogus": 1})
+
+    @pytest.mark.parametrize("fields", [
+        {"dims": "88"},
+        {"dims": [8.7, 8]},
+        {"dims": [True, 8]},
+        {"dims": [8, 8], "seed": "3"},
+        {"dims": [8, 8], "seed": 3.0},
+        {"dims": [8, 8], "max_iter": 2.5},
+        {"dims": [8, 8], "max_iter": "50"},
+        {"dims": [8, 8], "shards": True},
+        {"dims": [8, 8], "budget_s": True},
+        {"dims": [8, 8], "deadline_s": False},
+    ], ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()))
+    def test_malformed_wire_fields_rejected_not_coerced(self, fields):
+        """A malformed submission must never alias a genuine job's key
+        (``"88"`` or ``[8.7, 8]`` once became ``dims=(8, 8)``)."""
+        with pytest.raises(JobRejectedError):
+            JobSpec.from_json({"program": "CS", **fields})
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        import numpy as np
+
+        spec_np = JobSpec(program="CS", dims=(np.int64(8), np.int32(8)),
+                          seed=np.int64(3), max_iter=np.int64(50))
+        spec_py = JobSpec(program="CS", dims=(8, 8), seed=3, max_iter=50)
+        assert spec_np == spec_py and spec_np.key == spec_py.key
+        assert JobSpec.from_json(spec_np.to_json()) == spec_py
 
     def test_state_survives_a_fresh_handle(self, tmp_path):
         """State lives in the records alone: a new handle (a restarted
