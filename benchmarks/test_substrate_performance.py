@@ -1,20 +1,24 @@
 """Substrate micro-benchmarks.
 
 Genuine pytest-benchmark measurements of the data-structure hot paths the
-pipeline leans on: interval-B-tree indexing, hull carving, rasterization,
-fuzz-schedule iteration throughput, and (audited) file reads.
+pipeline leans on: interval indexing (the paper's interval B-tree, kept
+as the audit test oracle in ``tests/oracles/``), hull carving,
+rasterization, fuzz-schedule iteration throughput, and (audited) file
+reads.  Run from the repository root with ``python -m pytest`` so the
+``tests`` package is importable.
 """
 
 import numpy as np
 import pytest
 
 from repro.arraymodel import ArrayFile, ArraySchema
-from repro.audit import AuditSession, IntervalBTree
+from repro.audit import AuditSession
 from repro.carving import Carver
 from repro.core import DebloatTest
 from repro.fuzzing import CarveConfig, FuzzConfig, run_fuzz_schedule
 from repro.geometry import Hull, flat_indices_in_hulls
 from repro.workloads import get_program
+from tests.oracles.interval_btree import IntervalBTree
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,15 @@
-"""KND009 — the block-capture hot path stays vectorized.
+"""KND009 — the audit engine stays vectorized.
 
 The whole point of ``repro.audit.blockcapture`` / ``repro.audit.flatstore``
 is that the per-I/O-call record path and the per-flush drain path do
-numpy array work, never per-element Python iteration: one interpreted
-loop over an event buffer quietly re-introduces the per-event cost the
-block path exists to amortize, and no test catches it — the results stay
-bit-identical, only the overhead fraction regresses.  So inside those
-two modules, ``for`` / ``while`` statements are only allowed in the
-explicitly enumerated cold-path helpers:
+numpy array work, never per-element Python iteration; and
+``repro.audit.session`` resolves coverage from those flat runs without a
+per-range loop.  One interpreted loop over an event buffer or a range
+list quietly re-introduces the per-event cost the block path exists to
+amortize, and no test catches it — the results stay bit-identical, only
+the overhead fraction regresses.  So inside those three modules,
+``for`` / ``while`` statements are only allowed in the explicitly
+enumerated cold-path helpers:
 
 * ``events`` — the lazy per-``Event`` materializer (only runs when a
   caller asks for object events, never on the record path);
@@ -16,10 +18,13 @@ explicitly enumerated cold-path helpers:
   with the per-event work vectorized inside each group;
 * ``_grow_to`` — capacity-doubling loop, runs O(log n) times total;
 * ``iter_intervals`` — the ordered per-interval generator used by tests
-  and the B-tree parity checks.
+  and the B-tree parity checks;
+* ``_matching_stores`` — the session's per-*identity* store lookup (one
+  step per ``(pid, path)``, the ranges stay inside the stores).
 
 Any loop elsewhere in these modules — ``record``, ``_drain``,
-``insert_batch``, ``merged``, ``overlapping``, a new helper — fires.
+``insert_batch``, ``merged``, ``overlapping``, ``accessed_indices``, a
+new helper — fires.
 Comprehensions are deliberately out of scope: the ones these modules use
 are small fixed-size constructions (module tables, per-buffer lists),
 and flagging them would push authors toward less readable equivalents.
@@ -38,6 +43,7 @@ from repro.analysis.rulebase import Rule, register
 SCOPED_MODULES = frozenset({
     "repro.audit.blockcapture",
     "repro.audit.flatstore",
+    "repro.audit.session",
 })
 
 #: Cold-path helpers where per-element / per-group iteration is the
@@ -48,6 +54,7 @@ ALLOWED_HELPERS = frozenset({
     "_ingest_groups",
     "_grow_to",
     "iter_intervals",
+    "_matching_stores",
 })
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -78,9 +85,9 @@ class VectorizedAuditRule(Rule):
     rule_id = "KND009"
     name = "vectorized-audit"
     severity = Severity.ERROR
-    summary = ("blockcapture/flatstore hot paths must not loop over "
-               "event buffers in Python — vectorize or move the loop "
-               "into an allow-listed cold-path helper")
+    summary = ("blockcapture/flatstore/session hot paths must not loop "
+               "over event buffers or ranges in Python — vectorize or "
+               "move the loop into an allow-listed cold-path helper")
     rationale = __doc__ or ""
 
     def check(self, pf: ProjectFile, project: Project

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.arraymodel.layout import (
     Layout,
+    element_runs,
     flatten_index,
     row_major_strides,
     unflatten_index,
@@ -137,12 +138,19 @@ class ChunkedLayout(Layout):
         last = min(self.n_chunks * self.chunk_elems, -(-(start + size) // item))
         if first >= last:
             return np.empty((0, self.schema.ndim), dtype=np.int64)
-        flats = np.arange(first, last, dtype=np.int64)
-        coords_flat = flats // self.chunk_elems
-        within_flat = flats % self.chunk_elems
+        return self._logical_indices(np.arange(first, last, dtype=np.int64))
+
+    def indices_in_ranges(self, starts: np.ndarray,
+                          sizes: np.ndarray) -> np.ndarray:
+        flats = element_runs(starts, sizes, self.schema.itemsize,
+                             self.n_chunks * self.chunk_elems)
+        return self._logical_indices(flats)
+
+    def _logical_indices(self, flats: np.ndarray) -> np.ndarray:
+        """``(n, d)`` indices of stored element numbers, padding dropped."""
         out = np.empty((flats.size, self.schema.ndim), dtype=np.int64)
-        rem_c = coords_flat.copy()
-        rem_w = within_flat.copy()
+        rem_c = flats // self.chunk_elems
+        rem_w = flats % self.chunk_elems
         for axis in range(self.schema.ndim - 1, -1, -1):
             c = rem_c % self.grid[axis]
             w = rem_w % self.chunk_shape[axis]

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import zlib
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.arraymodel.chunked import make_layout
-from repro.arraymodel.layout import Layout
+from repro.arraymodel.layout import Layout, row_major_strides
 from repro.arraymodel.schema import ArraySchema
 from repro.arraymodel.spans import (
     SpanTable,
@@ -62,8 +63,8 @@ def as_recorder(recorder) -> Optional[Recorder]:
     """Normalize a recorder argument to a plain callback.
 
     Accepts ``None``, a bare callable, or an audit-session-like object —
-    anything exposing a ``recorder`` property (the session's fastest
-    capture-mode-specific callback) or a ``record`` method.  Duck-typed on
+    anything exposing a ``recorder`` property (the session's block-recorder
+    callback) or a ``record`` method.  Duck-typed on
     purpose: ``arraymodel`` sits below ``audit`` in the layer DAG and must
     not import it.
     """
@@ -169,6 +170,25 @@ def _numpy_dtype(code: str) -> np.dtype:
     return np.dtype(code)
 
 
+#: ``struct`` codes (standard sizes, native order) of the numpy scalar
+#: types a KND element can have; 16-byte long doubles have none.
+_STRUCT_CODES = {("u", 1): "B", ("i", 4): "i", ("i", 8): "q",
+                 ("f", 4): "f", ("f", 8): "d"}
+
+
+def _scalar_decoder(dt: np.dtype) -> Callable[[bytes], float]:
+    """The cheapest ``raw element bytes -> float`` decoder for ``dt``."""
+    if dt.kind == "V":
+        # f16 fallback cells carry the float64 value in their first 8 bytes.
+        head = struct.Struct("=d").unpack_from
+        return lambda raw: head(raw)[0]
+    code = _STRUCT_CODES.get((dt.kind, dt.itemsize))
+    if code is None:
+        return lambda raw: float(np.frombuffer(raw, dtype=dt)[0])
+    unpack = struct.Struct("=" + code).unpack
+    return lambda raw: float(unpack(raw)[0])
+
+
 class ArrayFile:
     """A readable (and creatable) KND data file.
 
@@ -187,6 +207,13 @@ class ArrayFile:
         self.span_table = span_table
         self._payload_start = header_size
         self._recorder = as_recorder(recorder)
+        # Per-read constants, resolved once: element dtype and decoder,
+        # item size, and (row-major files) the byte stride of each axis.
+        self._dtype = _numpy_dtype(schema.dtype)
+        self._decode_scalar = _scalar_decoder(self._dtype)
+        self._itemsize = schema.itemsize
+        self._byte_strides = None if schema.chunks is not None else tuple(
+            s * self._itemsize for s in row_major_strides(schema.dims))
         self._fh = open(path, "rb", buffering=0)
         self._closed = False
 
@@ -273,7 +300,7 @@ class ArrayFile:
 
         ``recorder`` may be a plain ``(path, op, offset, size)`` callback
         or an :class:`~repro.audit.session.AuditSession` — sessions are
-        unwrapped to their capture-mode-specific fast callback via
+        unwrapped to their block-recorder callback via
         :func:`as_recorder`.
 
         Version-2 files carry CRC32 checksums; ``verify_checksum=True``
@@ -344,9 +371,22 @@ class ArrayFile:
 
     def read_point(self, index: Sequence[int]):
         """Read the single element at a d-dimensional ``index``."""
-        off = self.layout.offset_of(index)
-        raw = self._read_payload(off, self.schema.itemsize)
-        return self._decode_scalar(raw)
+        strides = self._byte_strides
+        if strides is None:
+            off = self.layout.offset_of(index)
+        else:
+            # Row-major offset inline, with flatten_index's checks.
+            dims = self.schema.dims
+            if len(index) != len(dims):
+                raise LayoutError(
+                    f"index rank {len(index)} != array rank {len(dims)}")
+            off = 0
+            for i, d, s in zip(index, dims, strides):
+                if not 0 <= i < d:
+                    raise LayoutError(f"index {tuple(index)} out of bounds "
+                                      f"for dims {tuple(dims)}")
+                off += i * s
+        return self._decode_scalar(self._read_payload(off, self._itemsize))
 
     def read_extent(self, offset: int, size: int) -> bytes:
         """Read an arbitrary payload byte range (chunk reads, mmap-style)."""
@@ -389,14 +429,8 @@ class ArrayFile:
                     out[prefix + (k,)] = self.read_point(idx)
         return out
 
-    def _decode_scalar(self, raw: bytes) -> float:
-        dt = _numpy_dtype(self.schema.dtype)
-        if dt.kind == "V":
-            return float(np.frombuffer(raw[:8], dtype="f8")[0])
-        return float(np.frombuffer(raw, dtype=dt)[0])
-
     def _decode_vector(self, raw: bytes) -> np.ndarray:
-        dt = _numpy_dtype(self.schema.dtype)
+        dt = self._dtype
         if dt.kind == "V":
             return np.frombuffer(raw, dtype="V16").view("f8")[::2].astype("f8")
         return np.frombuffer(raw, dtype=dt).astype("f8")

@@ -110,6 +110,30 @@ def sorted_unique(values) -> np.ndarray:
     return arr[keep]
 
 
+def element_runs(starts: np.ndarray, sizes: np.ndarray, itemsize: int,
+                 n_elements: int) -> np.ndarray:
+    """Payload element numbers whose bytes overlap each byte range.
+
+    Range ``r`` is ``[starts[r], starts[r] + sizes[r])``, clamped to the
+    ``n_elements`` stored elements; empty and out-of-payload ranges
+    contribute nothing.  Returns the concatenation of every range's
+    ascending run, built with one segmented ``arange`` (repeat +
+    cumulative-offset subtraction) — no per-range Python work.
+    """
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    firsts = np.maximum(starts // itemsize, 0)
+    lasts = np.minimum(-(-(starts + sizes) // itemsize), n_elements)
+    counts = np.maximum(lasts - firsts, 0)
+    counts[sizes <= 0] = 0
+    keep = counts > 0
+    firsts, counts = firsts[keep], counts[keep]
+    # Element k of run r is firsts[r] + k.
+    run_offsets = np.cumsum(counts) - counts
+    return (np.arange(int(counts.sum()), dtype=np.int64)
+            + np.repeat(firsts - run_offsets, counts))
+
+
 class Layout:
     """Abstract index<->offset bijection over an :class:`ArraySchema`."""
 
@@ -147,19 +171,10 @@ class Layout:
 
         Returns one ``(n, d)`` array equal to the concatenation of the
         per-range results (duplicates across overlapping ranges are the
-        caller's concern, exactly as with per-range resolution).  The
-        base implementation resolves per range and concatenates once;
-        layouts with arithmetic structure override it fully vectorized.
+        caller's concern, exactly as with per-range resolution), built
+        vectorized from :func:`element_runs`.
         """
-        starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-        parts = [
-            self.indices_in_range(int(s), int(z))
-            for s, z in zip(starts, sizes)
-        ]
-        if not parts:
-            return np.empty((0, self.schema.ndim), dtype=np.int64)
-        return np.concatenate(parts, axis=0)
+        raise NotImplementedError
 
 
 class RowMajorLayout(Layout):
@@ -197,36 +212,8 @@ class RowMajorLayout(Layout):
 
     def indices_in_ranges(self, starts: np.ndarray,
                           sizes: np.ndarray) -> np.ndarray:
-        """Fully vectorized batched inverse map (the audit block path).
-
-        Clamps every range to touched element runs, then materializes all
-        runs with one segmented ``arange`` (repeat + cumulative-offset
-        subtraction) and one :func:`unflatten_many` call — no per-range
-        Python work, which is what makes million-event coverage
-        resolution cheap.
-        """
-        starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-        if starts.size == 0:
-            return np.empty((0, self.schema.ndim), dtype=np.int64)
-        item = self.schema.itemsize
-        firsts = np.maximum(starts // item, 0)
-        lasts = np.minimum(-(-(starts + sizes) // item), self.schema.n_elements)
-        counts = np.maximum(lasts - firsts, 0)
-        counts[sizes <= 0] = 0
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty((0, self.schema.ndim), dtype=np.int64)
-        # Segmented arange: element k of run r is firsts[r] + k.
-        run_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]]
-        )
-        keep = counts > 0
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(run_offsets[keep], counts[keep])
-            + np.repeat(firsts[keep], counts[keep])
-        )
+        flat = element_runs(starts, sizes, self.schema.itemsize,
+                            self.schema.n_elements)
         return unflatten_many(flat, self.schema.dims)
 
 

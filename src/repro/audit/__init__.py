@@ -1,9 +1,8 @@
 """Fine-grained I/O auditing substrate (paper Sections II and IV-C).
 
-Implements the paper's auditing system ``AS``: event capture
+Implements the paper's auditing system ``AS``: the event model
 (:mod:`~repro.audit.events`), batched block-descriptor capture
-(:mod:`~repro.audit.blockcapture`), interval-B-tree indexing
-(:mod:`~repro.audit.interval_btree`), flat sorted-array indexing
+(:mod:`~repro.audit.blockcapture`), flat sorted-array interval indexing
 (:mod:`~repro.audit.flatstore`), per-process range merging and index
 resolution (:mod:`~repro.audit.session`), in-process function interposition
 (:mod:`~repro.audit.interposer`), strace trace ingestion
@@ -13,19 +12,9 @@ resolution (:mod:`~repro.audit.session`), in-process function interposition
 
 from repro.audit.blockcapture import BlockRecorder
 from repro.audit.events import ACCESS_TYPES, Event, EventType
-from repro.audit.flatstore import (
-    FlatIntervalStore,
-    IntervalIndex,
-    merge_ranges_arrays,
-)
+from repro.audit.flatstore import FlatIntervalStore, merge_ranges_arrays
 from repro.audit.interposer import AuditedFile, audited_open
-from repro.audit.interval_btree import IntervalBTree
-from repro.audit.overhead import (
-    OverheadReport,
-    compare_capture_modes,
-    measure_overhead,
-    summarize,
-)
+from repro.audit.overhead import OverheadReport, measure_overhead, summarize
 from repro.audit.replay import (
     FileAccessRecord,
     ReplayReport,
@@ -46,12 +35,9 @@ __all__ = [
     "Event",
     "EventType",
     "ACCESS_TYPES",
-    "IntervalBTree",
     "FlatIntervalStore",
-    "IntervalIndex",
     "BlockRecorder",
     "merge_ranges_arrays",
-    "compare_capture_modes",
     "AuditSession",
     "AuditedFile",
     "audited_open",

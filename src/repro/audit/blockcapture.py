@@ -1,9 +1,9 @@
-"""Batched block-event capture for the audit hot path.
+"""Batched block-event capture: the audit hot path.
 
-Per-event capture (the seed path) pays, for every single ``read``/
-``pread``/``mmap``: one :class:`~repro.audit.events.Event` dataclass
-allocation (plus its validation), one shared-lock acquisition, one list
-append, and one Python B-tree descent.  The paper measures the resulting
+Per-event capture would pay, for every single ``read``/``pread``/
+``mmap``: one :class:`~repro.audit.events.Event` dataclass allocation
+(plus its validation), one shared-lock acquisition, one list append, and
+one Python interval-B-tree descent.  The paper measures the resulting
 audit overhead at ~31% (Section V-D6) — and it is the one cost every
 Kondo run pays.
 
@@ -27,10 +27,11 @@ to flush time:
   materialized order matches the call order; across threads events
   appear in flush order (queries are order-independent either way).
 
-Equivalence with the per-event path — same ``accessed_ranges``,
+Equivalence with per-event capture — same ``accessed_ranges``,
 ``accessed_indices``, ``accessed_nbytes`` and ``had_writes`` for any
 interleaving of reads, seeks and mmaps across threads — is pinned by
-hypothesis property tests in ``tests/audit/test_blockcapture.py``.
+hypothesis property tests in ``tests/audit/test_blockcapture.py``
+against the per-event oracle session in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -115,16 +116,13 @@ class BlockRecorder:
 
     # -- hot path -----------------------------------------------------------
 
-    def _intern_identity(self, pid: int, path: str) -> int:
-        key = (pid, path)
-        ident = self._ident_ids.get(key)
-        if ident is None:
-            with self._registry_lock:
-                ident = self._ident_ids.get(key)
-                if ident is None:
-                    ident = len(self._ident_keys)
-                    self._ident_keys.append(key)
-                    self._ident_ids[key] = ident
+    def _intern_identity(self, key: Tuple[int, str]) -> int:
+        with self._registry_lock:
+            ident = self._ident_ids.get(key)
+            if ident is None:
+                ident = len(self._ident_keys)
+                self._ident_keys.append(key)
+                self._ident_ids[key] = ident
         return ident
 
     def _intern_op(self, op: str) -> int:
@@ -135,13 +133,11 @@ class BlockRecorder:
                 self._op_codes.setdefault(op, code)
         return code
 
-    def _buffer(self) -> _ThreadBuffer:
-        buf = getattr(self._local, "buf", None)
-        if buf is None:
-            buf = _ThreadBuffer(self._buffer_size)
-            self._local.buf = buf
-            with self._registry_lock:
-                self._buffers.append(buf)
+    def _new_buffer(self) -> _ThreadBuffer:
+        buf = _ThreadBuffer(self._buffer_size)
+        self._local.buf = buf
+        with self._registry_lock:
+            self._buffers.append(buf)
         return buf
 
     def record(self, path: str, op: str, offset: int, size: int,
@@ -153,13 +149,16 @@ class BlockRecorder:
             raise AuditError(f"negative start offset {offset}")
         if size < 0:
             raise AuditError(f"negative size {size}")
-        ident = self._intern_identity(
-            pid if pid is not None else os.getpid(), path
-        )
+        key = (pid if pid is not None else os.getpid(), path)
+        ident = self._ident_ids.get(key)
+        if ident is None:
+            ident = self._intern_identity(key)
         code = self._op_codes.get(op)
         if code is None:
             code = self._intern_op(op)
-        buf = self._buffer()
+        buf = getattr(self._local, "buf", None)
+        if buf is None:
+            buf = self._new_buffer()
         with buf.lock:
             n = buf.n
             buf.idents[n] = ident

@@ -1,12 +1,12 @@
-"""A flat sorted-array interval store for the vectorized audit path.
+"""The flat sorted-array interval store behind every audit session.
 
-The interval B-tree (:mod:`repro.audit.interval_btree`) pays a Python-level
-node walk per insert and per query — fine for the per-event capture path,
-but the dominant cost once events arrive in batches of thousands.  This
-module provides the alternative the block-capture path uses, borrowing the
-layout of *Compression and In-Situ Query Processing for Fine-Grained Array
-Lineage* (PAPERS.md, arxiv 2405.17701): keep the intervals as flat sorted
-``int64`` start/end arrays and answer every query with numpy primitives —
+The paper indexes events in interval B-trees (Section IV-C); a Python
+B-tree pays a node walk per insert and per query, which dominates once
+events arrive in batches of thousands.  Following *Compression and
+In-Situ Query Processing for Fine-Grained Array Lineage* (PAPERS.md,
+arxiv 2405.17701), this store keeps the intervals as flat sorted
+``int64`` start/end arrays and answers every query with numpy
+primitives —
 
 * :meth:`FlatIntervalStore.merged` — one ``np.maximum.accumulate`` sweep
   over the sorted starts (a running max of ends finds coverage breaks),
@@ -17,16 +17,12 @@ Lineage* (PAPERS.md, arxiv 2405.17701): keep the intervals as flat sorted
 
 Inserts append into growth buffers; sorting is deferred until the next
 query (amortized O(n log n) over a batch instead of O(log n) tree steps
-per interval).  Query results are *bit-identical* to the B-tree's: both
-structures order intervals by ``(start, end)`` and use the same half-open
-overlap and coalescing semantics, which the hypothesis property tests in
+per interval).  Query results are *bit-identical* to the paper's
+interval B-tree, kept as the test oracle
+(``tests/oracles/interval_btree.py``): both order intervals by
+``(start, end)`` and use the same half-open overlap and coalescing
+semantics, which the hypothesis property tests in
 ``tests/audit/test_flatstore.py`` pin down.
-
-The :class:`IntervalIndex` protocol at the bottom names the operations an
-:class:`~repro.audit.session.AuditSession` needs from its per-identity
-index; both :class:`FlatIntervalStore` and
-:class:`~repro.audit.interval_btree.IntervalBTree` satisfy it, and the
-session selects one per capture mode.
 """
 
 from __future__ import annotations
@@ -36,14 +32,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import AuditError
-
-try:  # Protocol is 3.8+; keep the import local so older stubs degrade.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - python < 3.8
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
 
 
 #: Initial growth-buffer capacity (doubles as needed).
@@ -57,10 +45,9 @@ def merge_ranges_arrays(
 
     Sorts by ``(start, end)``, runs a cumulative max over the ends, and
     keeps exactly the group heads where a start exceeds every earlier
-    end — the numpy transliteration of ``_merge_sorted``'s Python loop,
-    with identical touching-ranges-merge semantics (``s <= prev_end``
-    coalesces).  Zero-length ranges are dropped, as the B-tree's
-    ``merged()`` drops them.
+    end.  Touching ranges coalesce (``s <= prev_end``) and zero-length
+    ranges are dropped, exactly as the interval B-tree's ``merged()``
+    does.
 
     Returns the merged ``(starts, ends)`` pair, sorted ascending.
     """
@@ -97,12 +84,10 @@ def merged_ranges_list(starts: np.ndarray,
 class FlatIntervalStore:
     """Half-open intervals in flat sorted numpy arrays.
 
-    Functionally interchangeable with
-    :class:`~repro.audit.interval_btree.IntervalBTree` (same interval
-    semantics, same query results), but optimized for batched inserts and
-    vectorized queries.  Payloads are stored in a parallel object array so
-    ``overlapping`` can return the same ``(start, end, payload)`` triples
-    the B-tree does.
+    Same interval semantics and query results as the paper's interval
+    B-tree, but optimized for batched inserts and vectorized queries.
+    Payloads are stored in a parallel object array so ``overlapping``
+    returns ``(start, end, payload)`` triples.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY):
@@ -185,8 +170,7 @@ class FlatIntervalStore:
     def overlapping(self, start: int, end: int) -> List[Tuple[int, int, Any]]:
         """All stored intervals overlapping the half-open ``[start, end)``.
 
-        Same contract as :meth:`IntervalBTree.overlapping`: a stored
-        ``[s, e)`` hits iff ``s < end and e > start``.
+        A stored ``[s, e)`` hits iff ``s < end and e > start``.
         """
         if end < start:
             raise AuditError(f"query end {end} < start {start}")
@@ -195,17 +179,17 @@ class FlatIntervalStore:
         self._ensure_sorted()
         n = self._n
         starts, ends = self._starts[:n], self._ends[:n]
+        # Array methods, not the np.* wrappers: a probe is a handful of
+        # scalar-sized numpy calls, so per-call dispatch sets its cost.
         # Everything at/after hi starts at >= end: cannot overlap.
-        hi = int(np.searchsorted(starts, end, side="left"))
+        hi = int(starts.searchsorted(end, side="left"))
         # Everything before lo has cummax(end) <= start, so every end in
         # that prefix is <= start: cannot overlap.  cummax is monotone,
         # which is what makes this a valid searchsorted.
-        lo = int(np.searchsorted(self._cummax[:hi], start, side="right"))
+        lo = int(self._cummax[:hi].searchsorted(start, side="right"))
         if lo >= hi:
             return []
-        window = slice(lo, hi)
-        mask = ends[window] > start
-        sel = np.flatnonzero(mask) + lo
+        sel = (ends[lo:hi] > start).nonzero()[0] + lo
         return list(zip(starts[sel].tolist(), ends[sel].tolist(),
                         self._payloads[sel].tolist()))
 
@@ -224,7 +208,7 @@ class FlatIntervalStore:
         if self._n == 0:
             return False
         self._ensure_sorted()
-        hi = int(np.searchsorted(self._starts[: self._n], point, side="right"))
+        hi = int(self._starts[: self._n].searchsorted(point, side="right"))
         if hi == 0:
             return False
         return bool(self._cummax[hi - 1] > point)
@@ -250,25 +234,3 @@ class FlatIntervalStore:
             if bool((s[1:] < s[:-1]).any()):
                 raise AuditError("sorted store with out-of-order starts")
 
-
-@runtime_checkable
-class IntervalIndex(Protocol):
-    """What an audit session requires of a per-identity interval index.
-
-    :class:`FlatIntervalStore` and
-    :class:`~repro.audit.interval_btree.IntervalBTree` both satisfy this;
-    :class:`~repro.audit.session.AuditSession` picks one per capture mode.
-    """
-
-    def insert(self, start: int, end: int, payload: Any = None) -> None: ...
-
-    def overlapping(self, start: int,
-                    end: int) -> List[Tuple[int, int, Any]]: ...
-
-    def merged(self) -> List[Tuple[int, int]]: ...
-
-    def covers(self, point: int) -> bool: ...
-
-    def iter_intervals(self) -> Iterator[Tuple[int, int, Any]]: ...
-
-    def __len__(self) -> int: ...

@@ -4,20 +4,13 @@ The paper reports ~31% average overhead for recording, merging, and looking
 up the offset range of a system call.  This module times a workload's real
 file reads with auditing off and on, and reports the same decomposition:
 record cost, merge cost, lookup cost.
-
-Both capture modes are measurable: ``capture="event"`` times the seed
-per-event path (one ``Event`` + lock + B-tree insert per call) and
-``capture="block"`` times the vectorized path (per-thread descriptor
-buffers + flat interval stores); :func:`compare_capture_modes` runs the
-identical workload through both and additionally asserts they resolve the
-same merged coverage.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.arraymodel.datafile import ArrayFile
 from repro.audit.session import AuditSession
@@ -34,7 +27,6 @@ class OverheadReport:
     audited_seconds: float
     merge_seconds: float
     lookup_seconds: float
-    capture: str = "event"
     #: Exactly how many offset-range lookups the probe loop issued.
     n_lookups_actual: int = 0
 
@@ -57,7 +49,6 @@ def measure_overhead(
     path: str,
     reader: Callable[[ArrayFile], int],
     n_lookups: int = 64,
-    capture: str = "event",
 ) -> OverheadReport:
     """Measure audit overhead for one real-file workload.
 
@@ -70,7 +61,6 @@ def measure_overhead(
             (modeling the run-time's system-call-to-offset resolution).
             Exactly this many probes are issued whenever any range was
             accessed; ``n_lookups_actual`` records the count.
-        capture: audit capture mode to measure (``"event"`` or ``"block"``).
     """
     # Unaudited baseline.
     with ArrayFile.open(path) as f:
@@ -79,7 +69,7 @@ def measure_overhead(
         plain = time.perf_counter() - t0
 
     # Audited run: identical reads, with event recording.
-    session = AuditSession(capture=capture)
+    session = AuditSession()
     with ArrayFile.open(path, recorder=session.recorder) as f:
         t0 = time.perf_counter()
         reader(f)
@@ -111,38 +101,8 @@ def measure_overhead(
         audited_seconds=audited,
         merge_seconds=merge,
         lookup_seconds=lookup,
-        capture=capture,
         n_lookups_actual=lookups_issued,
     )
-
-
-def compare_capture_modes(
-    program_name: str,
-    path: str,
-    reader: Callable[[ArrayFile], int],
-    n_lookups: int = 64,
-) -> Dict[str, OverheadReport]:
-    """Measure the identical workload under both capture modes.
-
-    Returns ``{"event": ..., "block": ...}``.  Raises ``AssertionError``
-    if the two sessions resolve different merged coverage — the block
-    path is only a win if it is also *right*.
-    """
-    reports = {
-        mode: measure_overhead(program_name, path, reader,
-                               n_lookups=n_lookups, capture=mode)
-        for mode in ("event", "block")
-    }
-    event_session = AuditSession(capture="event")
-    block_session = AuditSession(capture="block")
-    for session in (event_session, block_session):
-        with ArrayFile.open(path, recorder=session.recorder) as f:
-            reader(f)
-    assert (event_session.accessed_ranges(path)
-            == block_session.accessed_ranges(path)), (
-        "capture modes disagree on merged coverage"
-    )
-    return reports
 
 
 def summarize(reports: List[OverheadReport]) -> float:

@@ -1,46 +1,36 @@
 """Audit sessions: the fine-grained auditing system ``AS`` of the paper.
 
-An :class:`AuditSession` collects :class:`~repro.audit.events.Event`s during
-one (or more) program executions, indexes them per ``(pid, path)`` identity
-in interval indexes (Section IV-C), and answers the questions Kondo asks:
+An :class:`AuditSession` collects I/O events during one (or more) program
+executions, indexes them per ``(pid, path)`` identity (Section IV-C), and
+answers the questions Kondo asks:
 
 * which byte ranges of a file were accessed (merged coverage),
 * which d-dimensional indices those ranges correspond to, given a layout,
 * whether any write occurred (which would break the read-only assumption).
 
-Two capture modes are provided (``capture=`` constructor argument):
-
-* ``"event"`` (default, the seed behaviour): every call allocates an
-  :class:`Event`, takes the session lock, and inserts into a per-identity
-  :class:`~repro.audit.interval_btree.IntervalBTree`.
-* ``"block"`` (opt-in, vectorized): calls append ``(offset, size, op)``
-  block descriptors to preallocated per-thread numpy buffers
-  (:class:`~repro.audit.blockcapture.BlockRecorder`); a flush — on
-  buffer-full, query, or close — batch-inserts them into per-identity
-  :class:`~repro.audit.flatstore.FlatIntervalStore` indexes.  Query
-  results are identical to the event path (property-tested); only the
-  capture cost changes.
+Capture is batched: every call appends an ``(offset, size, op)`` block
+descriptor to a preallocated per-thread numpy buffer
+(:class:`~repro.audit.blockcapture.BlockRecorder`); a flush — on
+buffer-full, query, or close — batch-inserts the descriptors into
+per-identity :class:`~repro.audit.flatstore.FlatIntervalStore` indexes.
+Every query is answered vectorized from those sorted runs.  The
+per-event recorder over the paper's interval B-tree survives as the test
+oracle (``tests/oracles/event_session.py``); the two answer every query
+identically (property-tested).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.audit.blockcapture import BlockRecorder
-from repro.audit.events import Event, EventType
-from repro.audit.flatstore import FlatIntervalStore, IntervalIndex
-from repro.audit.interval_btree import IntervalBTree
+from repro.arraymodel.layout import flatten_many, sorted_unique, unflatten_many
+from repro.audit.blockcapture import DEFAULT_BUFFER_SIZE, BlockRecorder
+from repro.audit.events import Event
+from repro.audit.flatstore import FlatIntervalStore, merge_ranges_arrays
 from repro.errors import AuditError
-
-#: Valid ``capture=`` modes.
-CAPTURE_MODES = ("event", "block")
-
-#: Valid ``index=`` selections (``None`` = per-capture default).
-INDEX_KINDS = ("btree", "flat")
 
 
 class AuditSession:
@@ -50,139 +40,93 @@ class AuditSession:
     running (simulated) processes may record into the same session.
 
     Args:
-        btree_degree: minimum degree of the per-identity interval B-trees
-            (``index="btree"`` only).
-        capture: ``"event"`` for per-call capture (the default, exactly
-            the seed behaviour) or ``"block"`` for batched block-descriptor
-            capture through :class:`BlockRecorder`.
-        index: per-identity interval index kind — ``"btree"`` or
-            ``"flat"``; defaults to ``"btree"`` for event capture and
-            ``"flat"`` for block capture.
-        block_buffer: per-thread descriptor buffer capacity (block
-            capture only).
+        block_buffer: per-thread descriptor buffer capacity; a full
+            buffer flushes in line.
     """
 
-    def __init__(self, btree_degree: int = 16, capture: str = "event",
-                 index: Optional[str] = None, block_buffer: int = 4096):
-        if capture not in CAPTURE_MODES:
-            raise AuditError(f"unknown capture mode {capture!r} "
-                             f"(choose from {CAPTURE_MODES})")
-        if index is None:
-            index = "btree" if capture == "event" else "flat"
-        if index not in INDEX_KINDS:
-            raise AuditError(f"unknown index kind {index!r} "
-                             f"(choose from {INDEX_KINDS})")
-        self._btree_degree = btree_degree
-        self.capture = capture
-        self.index_kind = index
-        self._trees: Dict[Tuple[int, str], IntervalIndex] = {}
-        self._events: List[Event] = []
-        self._writes: List[Event] = []
+    def __init__(self, block_buffer: int = DEFAULT_BUFFER_SIZE):
         self._lock = threading.Lock()
         self._closed = False
-        self._recorder: Optional[BlockRecorder] = None
-        if capture == "block":
-            self._recorder = BlockRecorder(lock=self._lock,
-                                           buffer_size=block_buffer)
-
-    def _make_index(self) -> IntervalIndex:
-        if self.index_kind == "flat":
-            return FlatIntervalStore()
-        return IntervalBTree(self._btree_degree)
+        self._recorder = BlockRecorder(lock=self._lock,
+                                       buffer_size=block_buffer)
 
     # -- recording ----------------------------------------------------------
 
     def record_event(self, event: Event) -> None:
         """Record one audited event (Definition 4)."""
-        if self._closed:
-            raise AuditError("cannot record into a closed audit session")
-        if self._recorder is not None:
-            # Block capture: route through the descriptor buffers so the
-            # strace/interposer paths batch exactly like direct records.
-            self._recorder.record(event.path, event.c.value, event.l,
-                                  event.sz, pid=event.pid)
-            return
-        with self._lock:
-            self._events.append(event)
-            if event.is_write:
-                self._writes.append(event)
-            if event.is_access and event.sz > 0:
-                tree = self._trees.get(event.id)
-                if tree is None:
-                    tree = self._make_index()
-                    self._trees[event.id] = tree
-                tree.insert(event.l, event.l + event.sz, event.c.value)
+        self.record(event.path, event.c.value, event.l, event.sz,
+                    pid=event.pid)
 
     def record(self, path: str, op: str, offset: int, size: int,
                pid: Optional[int] = None) -> None:
         """Recorder-callback form used by :class:`~repro.arraymodel.datafile.ArrayFile`."""
-        if self._recorder is not None:
-            if self._closed:
-                raise AuditError("cannot record into a closed audit session")
-            self._recorder.record(path, op, offset, size, pid=pid)
-            return
-        self.record_event(
-            Event(
-                pid=pid if pid is not None else os.getpid(),
-                path=path,
-                c=EventType.parse(op),
-                l=offset,
-                sz=size,
-            )
-        )
+        if self._closed:
+            raise AuditError("cannot record into a closed audit session")
+        self._recorder.record(path, op, offset, size, pid=pid)
 
     @property
     def recorder(self) -> Callable[..., None]:
-        """The fastest recorder callback for this session's capture mode.
+        """The block recorder's callback, skipping :meth:`record`'s hop.
 
         Attach to a data file as ``ArrayFile.open(path, recorder=session)``
-        (or pass this callable explicitly).  For block capture this skips
-        the per-call mode dispatch in :meth:`record`.
+        (or pass this callable explicitly).
         """
-        if self._recorder is not None:
-            return self._recorder.record
-        return self.record
+        return self._recorder.record
 
     # -- queries --------------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Make all pending block-captured descriptors query-visible."""
-        if self._recorder is not None:
-            self._recorder.flush()
-
-    def _indexes(self) -> Dict[Tuple[int, str], IntervalIndex]:
-        """Per-identity interval indexes (capture-mode agnostic)."""
-        if self._recorder is not None:
-            return self._recorder.stores
-        return self._trees
-
     @property
     def n_events(self) -> int:
-        if self._recorder is not None:
-            self._flush()
-            return self._recorder.n_events
-        return len(self._events)
+        self._recorder.flush()
+        return self._recorder.n_events
 
     @property
     def events(self) -> List[Event]:
-        if self._recorder is not None:
-            self._flush()
-            with self._lock:
-                return self._recorder.events()
-        return list(self._events)
+        self._recorder.flush()
+        with self._lock:
+            return self._recorder.events()
 
     @property
     def had_writes(self) -> bool:
         """True if any write event was observed on an audited file."""
-        if self._recorder is not None:
-            self._flush()
-            return self._recorder.had_writes
-        return bool(self._writes)
+        self._recorder.flush()
+        return self._recorder.had_writes
 
     def identities(self) -> List[Tuple[int, str]]:
         """All (pid, path) identities with recorded accesses."""
-        self._flush()
-        return sorted(self._indexes())
+        self._recorder.flush()
+        return sorted(self._recorder.stores)
+
+    def _matching_stores(self, path: str,
+                         pid: Optional[int]) -> List[FlatIntervalStore]:
+        """Flushed per-identity stores of ``path`` (of one ``pid`` if given).
+
+        Caller holds the session lock.  One step per identity, never per
+        range: KND009 allow-lists this helper for exactly that reason.
+        """
+        stores = []
+        for (epid, epath), store in self._recorder.stores.items():
+            if epath == path and (pid is None or epid == pid):
+                stores.append(store)
+        return stores
+
+    def _accessed_range_arrays(
+        self, path: str, pid: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Merged coverage as ``(starts, ends)`` int64 arrays.
+
+        One vectorized coalesce over the concatenation of every matching
+        identity's already-merged coverage — no Python-level range loop.
+        """
+        self._recorder.flush()
+        with self._lock:
+            parts = [store.merged_arrays()
+                     for store in self._matching_stores(path, pid)]
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        return merge_ranges_arrays(np.concatenate([p[0] for p in parts]),
+                                   np.concatenate([p[1] for p in parts]))
 
     def accessed_ranges(
         self, path: str, pid: Optional[int] = None
@@ -194,87 +138,36 @@ class AuditSession:
         reproduces the paper's worked example where events from P1 and P2
         on one file merge into ``(0, 120)`` and ``(130, 150)``.
         """
-        if self._recorder is not None:
-            starts, ends = self._accessed_range_arrays(path, pid)
-            return list(zip(starts.tolist(), ends.tolist()))
-        ranges: List[Tuple[int, int]] = []
-        with self._lock:
-            for (epid, epath), tree in self._trees.items():
-                if epath != path:
-                    continue
-                if pid is not None and epid != pid:
-                    continue
-                ranges.extend(tree.merged())
-        return _merge_sorted(sorted(ranges))
-
-    def _accessed_range_arrays(
-        self, path: str, pid: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Block-path merged coverage as ``(starts, ends)`` int64 arrays.
-
-        One vectorized coalesce over the concatenation of every matching
-        identity's already-merged coverage — no Python-level range loop.
-        """
-        self._flush()
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        with self._lock:
-            for (epid, epath), store in self._indexes().items():
-                if epath != path:
-                    continue
-                if pid is not None and epid != pid:
-                    continue
-                parts.append(_merged_arrays(store))
-        if not parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        from repro.audit.flatstore import merge_ranges_arrays
-
-        return merge_ranges_arrays(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
+        starts, ends = self._accessed_range_arrays(path, pid)
+        return list(zip(starts.tolist(), ends.tolist()))
 
     def range_overlaps(self, path: str, start: int, end: int,
                        pid: Optional[int] = None) -> List[Tuple[int, int, str]]:
         """Raw interval-index overlap lookup for a byte range."""
-        self._flush()
-        out: List[Tuple[int, int, str]] = []
+        self._recorder.flush()
         with self._lock:
-            for (epid, epath), tree in self._indexes().items():
-                if epath != path or (pid is not None and epid != pid):
-                    continue
-                out.extend(tree.overlapping(start, end))
-        return sorted(out)
+            hits = [store.overlapping(start, end)
+                    for store in self._matching_stores(path, pid)]
+        return sorted(hit for part in hits for hit in part)
 
     def accessed_indices(self, path: str, layout,
                          pid: Optional[int] = None) -> np.ndarray:
         """Translate a file's accessed byte ranges to array indices.
 
         Returns the unique ``(n, d)`` int64 array of indices whose storage
-        overlaps any accessed range — the run's index subset ``I_v``.
+        overlaps any accessed range — the run's index subset ``I_v`` — in
+        row-major (equivalently lexicographic) order.  Rows dedupe as flat
+        keys through the sorted-set kernel.
         """
-        if self._recorder is not None:
-            starts, ends = self._accessed_range_arrays(path, pid)
-            if starts.size == 0:
-                return np.empty((0, layout.schema.ndim), dtype=np.int64)
-            idx = layout.indices_in_ranges(starts, ends - starts)
-            if idx.size == 0:
-                return np.empty((0, layout.schema.ndim), dtype=np.int64)
-            return np.unique(idx, axis=0)
-        parts = [
-            layout.indices_in_range(start, end - start)
-            for start, end in self.accessed_ranges(path, pid=pid)
-        ]
-        if not parts:
-            return np.empty((0, layout.schema.ndim), dtype=np.int64)
-        return np.unique(np.concatenate(parts, axis=0), axis=0)
+        starts, ends = self._accessed_range_arrays(path, pid)
+        dims = layout.schema.dims
+        idx = layout.indices_in_ranges(starts, ends - starts)
+        return unflatten_many(sorted_unique(flatten_many(idx, dims)), dims)
 
     def accessed_nbytes(self, path: str) -> int:
         """Total distinct bytes of ``path`` accessed across all processes."""
-        if self._recorder is not None:
-            starts, ends = self._accessed_range_arrays(path)
-            return int(np.sum(ends - starts))
-        return sum(end - start for start, end in self.accessed_ranges(path))
+        starts, ends = self._accessed_range_arrays(path)
+        return int(np.sum(ends - starts))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -286,12 +179,7 @@ class AuditSession:
         """
         if self._closed:
             raise AuditError("cannot reset a closed audit session")
-        if self._recorder is not None:
-            self._recorder.reset()
-        with self._lock:
-            self._trees.clear()
-            self._events.clear()
-            self._writes.clear()
+        self._recorder.reset()
 
     def close(self) -> None:
         """Flush any pending capture buffers and seal the session.
@@ -300,31 +188,6 @@ class AuditSession:
         queryable, but further :meth:`record` / :meth:`reset` calls
         raise :class:`AuditError`.
         """
-        if self._recorder is not None:
-            self._recorder.close()
+        self._recorder.close()
         with self._lock:
             self._closed = True
-
-
-def _merged_arrays(store: IntervalIndex) -> Tuple[np.ndarray, np.ndarray]:
-    """A store's merged coverage as arrays, vectorized when supported."""
-    if isinstance(store, FlatIntervalStore):
-        return store.merged_arrays()
-    merged = store.merged()
-    if not merged:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    arr = np.asarray(merged, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
-
-
-def _merge_sorted(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Coalesce already-sorted half-open ranges."""
-    out: List[Tuple[int, int]] = []
-    for s, e in ranges:
-        if out and s <= out[-1][1]:
-            if e > out[-1][1]:
-                out[-1] = (out[-1][0], e)
-        else:
-            out.append((s, e))
-    return out

@@ -110,7 +110,6 @@ def cmd_analyze(args) -> int:
         fuzz_config=FuzzConfig(rng_seed=args.seed),
         carver=args.carver,
         resilience=resilience,
-        audit_capture=args.audit_capture,
     )
     test = None
     if args.audit_data:
@@ -488,12 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="address-space headroom per supervised run, "
                         "enforced by RLIMIT_AS in the child; overruns "
                         "are quarantined with verdict OOM")
-    p.add_argument("--audit-capture", choices=("event", "block"),
-                   default="event",
-                   help="audit capture mode for audited debloat tests: "
-                        "per-call events (seed default) or batched block "
-                        "descriptors with flat interval stores "
-                        "(flat-index-identical, lower overhead)")
     p.add_argument("--audit-data", metavar="KND",
                    help="run the debloat tests in audited mode against "
                         "this real KND file (offsets come from recorded "

@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arraymodel.datafile import ArrayFile
+from repro.arraymodel.layout import flatten_many
 from repro.audit.session import AuditSession
 from repro.errors import ProgramError
 from repro.workloads.base import Program
@@ -43,10 +44,6 @@ class DebloatTest:
         mode: "direct" (offset replay, no I/O) or "audited" (real reads
             through the audit layer; requires ``data_path``).
         data_path: a KND file matching ``dims`` (audited mode only).
-        audit_capture: audit capture mode for audited runs — "event"
-            (per-call, the seed default) or "block" (batched descriptor
-            buffers + flat interval stores; identical results, lower
-            capture cost).
     """
 
     def __init__(
@@ -55,19 +52,15 @@ class DebloatTest:
         dims: Sequence[int],
         mode: str = "direct",
         data_path: Optional[str] = None,
-        audit_capture: str = "event",
     ):
         if mode not in ("direct", "audited"):
             raise ProgramError(f"unknown debloat-test mode {mode!r}")
         if mode == "audited" and data_path is None:
             raise ProgramError("audited mode requires data_path")
-        if audit_capture not in ("event", "block"):
-            raise ProgramError(f"unknown audit capture {audit_capture!r}")
         self.program = program
         self.dims = program.check_dims(dims)
         self.mode = mode
         self.data_path = data_path
-        self.audit_capture = audit_capture
         self.executions = 0
         self.useful_executions = 0
 
@@ -87,16 +80,8 @@ class DebloatTest:
         return flat
 
     def _audited_run(self, v: Tuple[float, ...]) -> np.ndarray:
-        session = AuditSession(capture=self.audit_capture)
+        session = AuditSession()
         with ArrayFile.open(self.data_path, recorder=session.recorder) as f:
-
-            def access(index):
-                return f.read_point(index)
-
-            self.program.run(access, v, self.dims)
+            self.program.run(f.read_point, v, self.dims)
             idx = session.accessed_indices(self.data_path, f.layout)
-        if idx.size == 0:
-            return np.empty(0, dtype=np.int64)
-        from repro.arraymodel.layout import flatten_many
-
         return flatten_many(idx, self.dims)

@@ -92,11 +92,6 @@ class Kondo:
             ``resilience`` layer of the fuzz config (campaign
             checkpointing, quarantine, supervised execution).
             Resilience settings never change a fault-free run's results.
-        audit_capture: capture mode for audited debloat tests — "event"
-            (per-call, the seed default) or "block" (vectorized batched
-            capture; flat-index-identical results, lower audit overhead).
-            Only audited-mode tests issue real I/O, so "direct" runs are
-            unaffected either way.
     """
 
     def __init__(
@@ -108,13 +103,9 @@ class Kondo:
         auto_scale: bool = True,
         carver: str = "merge",
         resilience: Optional[ResilienceConfig] = None,
-        audit_capture: str = "event",
     ):
         self.program = program
         self.dims = program.check_dims(dims)
-        if audit_capture not in ("event", "block"):
-            raise ProgramError(f"unknown audit capture {audit_capture!r}")
-        self.audit_capture = audit_capture
         fuzz_config = fuzz_config if fuzz_config is not None else FuzzConfig()
         carve_config = carve_config if carve_config is not None else CarveConfig()
         if resilience is not None:
@@ -149,8 +140,7 @@ class Kondo:
                   data_path: Optional[str] = None) -> DebloatTest:
         """Construct the audited debloat test this pipeline fuzzes with."""
         return DebloatTest(self.program, self.dims, mode=mode,
-                           data_path=data_path,
-                           audit_capture=self.audit_capture)
+                           data_path=data_path)
 
     def analyze(
         self,

@@ -344,14 +344,36 @@ class TestKND009VectorizedAudit:
                 "    for pair in zip(starts, ends):\n"
                 "        yield pair\n"
             ),
-            # Same loops anywhere else in the audit layer: fine.
             "repro/audit/session.py": (
+                "def _matching_stores(stores, path):\n"
+                "    out = []\n"
+                "    for (pid, p), store in stores.items():\n"
+                "        if p == path:\n"
+                "            out.append(store)\n"
+                "    return out\n"
+            ),
+            # Same loops anywhere else in the audit layer: fine.
+            "repro/audit/strace.py": (
                 "def merge_all(trees):\n"
                 "    for tree in trees:\n"
                 "        tree.merged()\n"
             ),
         }, select=["KND009"])
         assert findings == []
+
+    def test_per_range_loop_in_session_fires(self, tmp_path):
+        findings = check_tree(tmp_path, {
+            "repro/audit/session.py": (
+                "def accessed_indices(ranges, layout):\n"
+                "    parts = []\n"
+                "    for start, end in ranges:\n"
+                "        parts.append(layout.indices_in_range(\n"
+                "            start, end - start))\n"
+                "    return parts\n"
+            ),
+        }, select=["KND009"])
+        assert rule_ids(findings) == ["KND009"]
+        assert "in accessed_indices()" in findings[0].message
 
 
 class TestKND010BoundedService:

@@ -123,3 +123,42 @@ class TestChunkedIndicesInRange:
         lay = layout_10x10()
         idx = lay.indices_in_range(0, lay.payload_nbytes)
         assert idx.shape == (100, 2)
+
+
+@st.composite
+def chunked_ranges(draw):
+    """A chunked layout (edge chunks padded when chunks do not divide the
+    dims) and byte ranges that may be empty, unaligned, or run past the
+    payload."""
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    chunks = tuple(draw(st.integers(1, d + 2)) for d in dims)
+    dtype = draw(st.sampled_from(["u1", "i4", "f8"]))
+    lay = ChunkedLayout(ArraySchema(dims, dtype, chunks=chunks))
+    bound = lay.payload_nbytes + 24
+    ranges = draw(st.lists(st.tuples(st.integers(-8, bound),
+                                     st.integers(-4, 40)), max_size=12))
+    return lay, ranges
+
+
+class TestChunkedIndicesInRangesProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=chunked_ranges())
+    def test_batched_equals_concatenated_singles(self, case):
+        lay, ranges = case
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        sizes = np.array([z for _, z in ranges], dtype=np.int64)
+        got = lay.indices_in_ranges(starts, sizes)
+        want = [lay.indices_in_range(s, z) for s, z in ranges]
+        want = (np.concatenate(want, axis=0) if want
+                else np.empty((0, lay.schema.ndim), dtype=np.int64))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        # Each single range resolves to exactly the cells whose bytes
+        # overlap it (padding has no cell, so it never shows).
+        cells = list(np.ndindex(*lay.schema.dims))
+        offsets = [lay.offset_of(c) for c in cells]
+        item = lay.schema.itemsize
+        for s, z in ranges:
+            brute = {c for c, o in zip(cells, offsets)
+                     if z > 0 and o < s + z and o + item > s}
+            assert {tuple(r) for r in lay.indices_in_range(s, z)} == brute

@@ -1,9 +1,15 @@
 """Unit tests for the KND array file format."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arraymodel import ArrayFile, ArraySchema
+from repro.arraymodel import ArrayFile, ArraySchema, datafile
 from repro.errors import FileFormatError, LayoutError
 
 
@@ -116,3 +122,59 @@ class TestDtypes:
         ) as f:
             f.read_point((1, 1))
         assert events == [(path, "read", 11 * 8, 8)]
+
+
+#: Value ranges that survive a round trip through each element dtype.
+_SOURCE_VALUES = {
+    "u1": st.integers(0, 255),
+    "i4": st.integers(-2**31, 2**31 - 1),
+    "f8": st.floats(allow_nan=False, allow_infinity=False),
+    "f16": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def point_files(draw):
+    """A random small array, its dtype, an optional chunking, and whether
+    ``f16`` uses the 16-byte void fallback encoding."""
+    dtype = draw(st.sampled_from(sorted(_SOURCE_VALUES)))
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    values = draw(st.lists(_SOURCE_VALUES[dtype], min_size=int(np.prod(dims)),
+                           max_size=int(np.prod(dims))))
+    chunks = draw(st.none() | st.tuples(
+        *(st.integers(1, d + 1) for d in dims)))
+    void_f16 = dtype == "f16" and draw(st.booleans())
+    return dtype, np.array(values).reshape(dims), chunks, void_f16
+
+
+class TestReadPointProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=point_files(), data=st.data())
+    def test_read_point_equals_source_and_rejects_out_of_range(self, spec,
+                                                               data):
+        dtype, source, chunks, void_f16 = spec
+        dims = source.shape
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                datafile, "_numpy_dtype",
+                (lambda code: np.dtype("V16")) if void_f16
+                else datafile._numpy_dtype):
+            path = os.path.join(tmp, "p.knd")
+            ArrayFile.create(path, ArraySchema(dims, dtype, chunks=chunks),
+                             source).close()
+            calls = []
+            with ArrayFile.open(path, recorder=lambda *a: calls.append(a)
+                                ) as f:
+                for index in np.ndindex(*dims):
+                    assert f.read_point(index) == float(source[index])
+                assert len(calls) == source.size
+                axis = data.draw(st.integers(0, len(dims) - 1))
+                bad = list(data.draw(st.sampled_from(list(np.ndindex(*dims)))))
+                bad[axis] = data.draw(st.sampled_from(
+                    [-1, dims[axis], dims[axis] + 7]))
+                with pytest.raises(LayoutError):
+                    f.read_point(tuple(bad))
+                with pytest.raises(LayoutError):
+                    f.read_point(tuple(bad[:-1]) + (0, 0))
+                assert len(calls) == source.size
+            with pytest.raises(FileFormatError):
+                f.read_point((0,) * len(dims))

@@ -1,11 +1,13 @@
-"""Block-capture equivalence: batched sessions vs the per-event seed path.
+"""Block-capture equivalence: the audit session vs the per-event oracle.
 
-The block path is opt-in and must be *query-identical* to the event path:
-same ``accessed_ranges``, ``accessed_indices``, ``accessed_nbytes``, and
-``had_writes`` for any interleaving of reads/seeks/mmaps across threads.
-Hypothesis drives random event soups through both capture modes (and, for
-the threaded property, through racing recorder threads) and compares
-every observable.
+The production session captures block descriptors and must be
+*query-identical* to the per-event oracle session over the interval
+B-tree (``tests/oracles/event_session.py``): same ``accessed_ranges``,
+``accessed_indices``, ``accessed_nbytes``, and ``had_writes`` for any
+interleaving of reads/seeks/mmaps across threads.  Hypothesis drives
+random event soups through both sessions (and, for the threaded
+property, through racing recorder threads) and compares every
+observable.
 """
 
 import threading
@@ -15,10 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arraymodel import ArrayFile, ArraySchema, RowMajorLayout
+from repro.arraymodel import (
+    ArrayFile,
+    ArraySchema,
+    ChunkedLayout,
+    RowMajorLayout,
+)
 from repro.audit import AuditSession, BlockRecorder
 from repro.audit.blockcapture import _ThreadBuffer
 from repro.errors import AuditError
+from tests.oracles.event_session import EventSession
 
 #: One simulated syscall: (path#, op, offset, size, pid).
 events = st.lists(
@@ -40,7 +48,9 @@ def replay(session, evs):
 
 def assert_observables_equal(event_s, block_s, evs):
     paths = sorted({f"file{p}" for p, *_ in evs} | {"file0"})
-    layout = RowMajorLayout(ArraySchema((64, 64), "f8"))
+    layouts = (RowMajorLayout(ArraySchema((64, 64), "f8")),
+               # Padded edge chunks; chunk order is not row-major order.
+               ChunkedLayout(ArraySchema((40, 24), "i4", chunks=(16, 16))))
     assert block_s.n_events == event_s.n_events
     assert block_s.had_writes == event_s.had_writes
     assert block_s.identities() == event_s.identities()
@@ -48,8 +58,9 @@ def assert_observables_equal(event_s, block_s, evs):
         assert (block_s.accessed_ranges(path)
                 == event_s.accessed_ranges(path)), path
         assert block_s.accessed_nbytes(path) == event_s.accessed_nbytes(path)
-        assert np.array_equal(block_s.accessed_indices(path, layout),
-                              event_s.accessed_indices(path, layout))
+        for layout in layouts:
+            assert np.array_equal(block_s.accessed_indices(path, layout),
+                                  event_s.accessed_indices(path, layout))
         for pid in (1, 2, 3):
             assert (block_s.accessed_ranges(path, pid=pid)
                     == event_s.accessed_ranges(path, pid=pid))
@@ -61,8 +72,8 @@ class TestEquivalenceProperties:
     @settings(max_examples=120, deadline=None)
     @given(evs=events, buffer_size=st.sampled_from([1, 2, 7, 64, 4096]))
     def test_block_session_matches_event_session(self, evs, buffer_size):
-        event_s = AuditSession()
-        block_s = AuditSession(capture="block", block_buffer=buffer_size)
+        event_s = EventSession()
+        block_s = AuditSession(block_buffer=buffer_size)
         replay(event_s, evs)
         replay(block_s, evs)
         assert_observables_equal(event_s, block_s, evs)
@@ -76,9 +87,9 @@ class TestEquivalenceProperties:
             self, evs, buffer_size):
         # Each simulated pid records from its own racing thread; totals
         # and per-identity coverage must match a serial event session.
-        event_s = AuditSession()
+        event_s = EventSession()
         replay(event_s, evs)
-        block_s = AuditSession(capture="block", block_buffer=buffer_size)
+        block_s = AuditSession(block_buffer=buffer_size)
         by_pid = {pid: [e for e in evs if e[4] == pid] for pid in (1, 2, 3)}
         threads = [
             threading.Thread(target=replay, args=(block_s, chunk))
@@ -95,8 +106,8 @@ class TestEquivalenceProperties:
     def test_queries_between_records_flush_correctly(self, evs):
         # Interleave queries with records: every flush point must leave
         # the already-recorded prefix fully visible.
-        event_s = AuditSession()
-        block_s = AuditSession(capture="block", block_buffer=16)
+        event_s = EventSession()
+        block_s = AuditSession(block_buffer=16)
         for i, (path_no, op, offset, size, pid) in enumerate(evs):
             event_s.record(f"file{path_no}", op, offset, size, pid=pid)
             block_s.record(f"file{path_no}", op, offset, size, pid=pid)
@@ -109,7 +120,7 @@ class TestEquivalenceProperties:
 
 class TestBlockSessionBehavior:
     def test_events_materialize_in_thread_order(self):
-        s = AuditSession(capture="block")
+        s = AuditSession()
         s.record("f", "read", 0, 8, pid=1)
         s.record("f", "pread", 8, 8, pid=1)
         s.record("f", "mmap", 16, 8, pid=1)
@@ -120,41 +131,40 @@ class TestBlockSessionBehavior:
         assert all(e.pid == 1 and e.path == "f" for e in evs)
 
     def test_buffer_full_flush_is_transparent(self):
-        s = AuditSession(capture="block", block_buffer=4)
+        s = AuditSession(block_buffer=4)
         for k in range(11):  # 2 full flushes + 3 pending
             s.record("f", "read", k * 8, 8)
         assert s.n_events == 11
         assert s.accessed_ranges("f") == [(0, 88)]
 
     def test_write_only_visible_after_flush_on_query(self):
-        s = AuditSession(capture="block", block_buffer=1024)
+        s = AuditSession(block_buffer=1024)
         s.record("f", "write", 0, 8)
         # had_writes is a query: it must flush the pending buffer.
         assert s.had_writes
         assert s.accessed_ranges("f") == []
 
     def test_close_flushes_pending_buffer(self):
-        s = AuditSession(capture="block", block_buffer=1024)
+        s = AuditSession(block_buffer=1024)
         s.record("f", "read", 0, 32)
         s.close()
         assert s.n_events == 1
         assert s.accessed_ranges("f") == [(0, 32)]
 
     def test_record_and_reset_after_close_raise(self):
-        for capture in ("event", "block"):
-            s = AuditSession(capture=capture)
-            s.record("f", "read", 0, 8)
-            s.close()
-            s.close()  # idempotent
-            with pytest.raises(AuditError):
-                s.record("f", "read", 8, 8)
-            with pytest.raises(AuditError):
-                s.record_event(s.events[0])
-            with pytest.raises(AuditError):
-                s.reset()
+        s = AuditSession()
+        s.record("f", "read", 0, 8)
+        s.close()
+        s.close()  # idempotent
+        with pytest.raises(AuditError):
+            s.record("f", "read", 8, 8)
+        with pytest.raises(AuditError):
+            s.record_event(s.events[0])
+        with pytest.raises(AuditError):
+            s.reset()
 
     def test_reset_clears_block_state(self):
-        s = AuditSession(capture="block", block_buffer=4)
+        s = AuditSession(block_buffer=4)
         for k in range(9):
             s.record("f", "read", k * 8, 8)
         s.reset()
@@ -163,22 +173,8 @@ class TestBlockSessionBehavior:
         s.record("f", "read", 0, 8)
         assert s.accessed_ranges("f") == [(0, 8)]
 
-    def test_unknown_capture_and_index_rejected(self):
-        with pytest.raises(AuditError):
-            AuditSession(capture="mystery")
-        with pytest.raises(AuditError):
-            AuditSession(index="mystery")
-
-    def test_event_capture_with_flat_index(self):
-        # Index selection is orthogonal to capture mode.
-        s = AuditSession(capture="event", index="flat")
-        s.record("f", "read", 0, 10)
-        s.record("f", "read", 5, 10)
-        assert s.accessed_ranges("f") == [(0, 15)]
-        assert s.events[0].c.value == "read"
-
     def test_invalid_record_arguments(self):
-        s = AuditSession(capture="block")
+        s = AuditSession()
         with pytest.raises(AuditError):
             s.record("f", "read", -1, 8)
         with pytest.raises(AuditError):
@@ -189,7 +185,7 @@ class TestBlockSessionBehavior:
     def test_record_event_routes_through_buffers(self):
         from repro.audit import Event, EventType
 
-        s = AuditSession(capture="block")
+        s = AuditSession()
         s.record_event(Event(pid=9, path="f", c=EventType.READ, l=0, sz=16))
         assert s.accessed_ranges("f", pid=9) == [(0, 16)]
 
@@ -197,11 +193,11 @@ class TestBlockSessionBehavior:
         path = str(tmp_path / "x.knd")
         ArrayFile.create(path, ArraySchema((4, 4), "f8"),
                          np.zeros((4, 4))).close()
-        for capture in ("event", "block"):
-            s = AuditSession(capture=capture)
+        for session_type in (AuditSession, EventSession):
+            s = session_type()
             with ArrayFile.open(path, recorder=s) as f:
                 f.read_point((1, 2))
-            assert s.accessed_nbytes(path) == 8, capture
+            assert s.accessed_nbytes(path) == 8, session_type
 
 
 class TestBlockRecorderInternals:

@@ -10,6 +10,7 @@ import threading
 import numpy as np
 
 from repro.audit import AuditSession, Event, EventType
+from tests.oracles.event_session import EventSession
 
 
 class TestConcurrentRecording:
@@ -58,14 +59,17 @@ class TestConcurrentRecording:
             assert session.accessed_ranges(f"file{i}") == [(0, 1600)]
 
     def test_btrees_valid_after_concurrent_inserts(self):
-        session = AuditSession()
+        # The same racing inserts go into the session's flat stores and
+        # the oracle's interval B-trees.
+        session, oracle = AuditSession(block_buffer=64), EventSession()
 
         def worker(pid):
             rng = np.random.default_rng(pid)
             for _ in range(300):
                 start = int(rng.integers(0, 10_000))
-                session.record("f", "read", start, int(rng.integers(1, 64)),
-                               pid=pid)
+                size = int(rng.integers(1, 64))
+                session.record("f", "read", start, size, pid=pid)
+                oracle.record("f", "read", start, size, pid=pid)
 
         threads = [
             threading.Thread(target=worker, args=(pid,)) for pid in range(4)
@@ -74,7 +78,14 @@ class TestConcurrentRecording:
             t.start()
         for t in threads:
             t.join()
-        # Every per-identity B-tree still satisfies its invariants.
+        # Every per-identity index still satisfies its invariants.
+        assert session.identities() == oracle.identities()
+        stores = session._recorder.stores
         for identity in session.identities():
-            session._trees[identity].check_invariants()
-            assert len(session._trees[identity]) == 300
+            oracle._trees[identity].check_invariants()
+            stores[identity].check_invariants()
+            assert len(oracle._trees[identity]) == 300
+            assert len(stores[identity]) == 300
+            pid = identity[0]
+            assert (session.accessed_ranges("f", pid=pid)
+                    == oracle.accessed_ranges("f", pid=pid))

@@ -1,12 +1,12 @@
-"""Unit + property tests for the interval B-tree."""
+"""Unit + property tests for the interval B-tree oracle (paper §IV-C)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit import IntervalBTree
 from repro.errors import AuditError
+from tests.oracles.interval_btree import IntervalBTree
 
 intervals_strategy = st.lists(
     st.tuples(st.integers(0, 500), st.integers(0, 60)).map(

@@ -1,20 +1,26 @@
-"""End-to-end: block-captured audited analysis equals the event path.
+"""End-to-end: the block-capture audit session equals the per-event oracle.
 
 Runs the full ``kondo analyze`` pipeline (fuzz -> audit -> carve) twice on
-CS 48x48 against a real KND file — once with ``--audit-capture event``
-(the seed path) and once with ``--audit-capture block`` — and asserts the
-carved flat-index sets are identical.  This is the pipeline-level closure
-of the session-level equivalence properties.
+CS 48x48 against a real KND file — once with the production
+:class:`~repro.audit.session.AuditSession` and once with the per-event
+oracle session (``tests/oracles/event_session.py``) patched into the
+debloat test — and asserts the carved flat-index sets are identical.
+This is the pipeline-level closure of the session-level equivalence
+properties.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+import repro.core.debloat_test as debloat_test
 from repro.arraymodel import ArrayFile, ArraySchema
 from repro.cli import main
 from repro.core.pipeline import Kondo
 from repro.fuzzing import FuzzConfig
 from repro.workloads import get_program
+from tests.oracles.event_session import EventSession
 
 DIMS = (48, 48)
 
@@ -29,21 +35,25 @@ def cs_knd(tmp_path_factory):
     return path
 
 
-def _analyze(cs_knd, capture):
+def _use_oracle(monkeypatch):
+    """Make every audited debloat test record into the oracle session."""
+    monkeypatch.setattr(debloat_test, "AuditSession", EventSession)
+
+
+def _analyze(cs_knd):
     kondo = Kondo(
         get_program("CS"), DIMS,
         fuzz_config=FuzzConfig(rng_seed=3, max_iter=120, stop_iter=120),
-        audit_capture=capture,
     )
     test = kondo.make_test(mode="audited", data_path=cs_knd)
-    assert test.audit_capture == capture
     return kondo.analyze(test=test)
 
 
 class TestAuditedPipelineEquivalence:
-    def test_block_capture_carves_identically(self, cs_knd):
-        event_result = _analyze(cs_knd, "event")
-        block_result = _analyze(cs_knd, "block")
+    def test_block_capture_carves_identically(self, cs_knd, monkeypatch):
+        block_result = _analyze(cs_knd)
+        _use_oracle(monkeypatch)
+        event_result = _analyze(cs_knd)
         assert np.array_equal(event_result.observed_flat,
                               block_result.observed_flat)
         assert np.array_equal(event_result.carved_flat,
@@ -51,17 +61,17 @@ class TestAuditedPipelineEquivalence:
         assert event_result.carve.n_hulls == block_result.carve.n_hulls
         assert event_result.carved_flat.size > 0
 
-    def test_cli_block_capture_matches_event(self, cs_knd, capsys):
-        import re
-
+    def test_cli_block_capture_matches_event(self, cs_knd, capsys,
+                                             monkeypatch):
         outputs = {}
-        for capture in ("event", "block"):
+        for capture in ("block", "event"):
+            if capture == "event":
+                _use_oracle(monkeypatch)
             assert main([
-                "analyze", "CS", "--audit-data", cs_knd,
-                "--audit-capture", capture, "--seed", "3",
+                "analyze", "CS", "--audit-data", cs_knd, "--seed", "3",
             ]) == 0
             # Identical carve summary => identical subset statistics;
-            # only the wall-clock differs between capture modes.
+            # only the wall-clock differs between the two sessions.
             outputs[capture] = re.sub(
                 r"in \d+\.\d+s", "in <t>", capsys.readouterr().out
             )
