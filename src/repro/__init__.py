@@ -20,7 +20,8 @@ Subsystem map (see DESIGN.md):
 * :mod:`repro.core` — the Kondo pipeline (Figure 3) and debloat test.
 * :mod:`repro.fuzzing` — Algorithm 1 schedules, mutation, clusters.
 * :mod:`repro.carving` — Algorithm 2 cell split + hull merging.
-* :mod:`repro.geometry` — convex hulls (2-D/3-D from scratch) and rasters.
+* :mod:`repro.geometry` — convex hulls (own 2-D, Qhull for rank >= 3) and
+  rasters.
 * :mod:`repro.audit` — fine-grained I/O lineage (events, interval B-trees,
   interposition, strace ingestion).
 * :mod:`repro.arraymodel` — KND/KNDS array file formats and layouts.

@@ -15,10 +15,8 @@ analysis**: per-function lockset/blocking/fork summaries
 interprocedural fixpoints and a global lock-order graph
 (:mod:`repro.analysis.callgraph`), and the flow-aware rules
 KND011 (lock-order cycles), KND012 (blocking under a lock), and
-KND013 (fork safety).  The run is two-phase — per-file summaries,
-optionally parallel (``--jobs N``) and content-cached
-(``.kondo-cache/``), then deterministic linking and rule execution —
-so parallel runs are byte-identical to sequential ones.
+KND013 (fork safety).  A run is one serial pass over the sorted
+sources and writes no file besides its report.
 
 Run it as ``kondo check src/repro`` or ``python -m repro.analysis``;
 the rule catalog lives in :mod:`repro.analysis.rules`.

@@ -355,18 +355,11 @@ class ConcurrencyContext:
 def build_context(files: Sequence) -> ConcurrencyContext:
     """Build the concurrency context for a list of project files.
 
-    Accepts :class:`~repro.analysis.project.ProjectFile` objects; uses
-    each file's precomputed ``summary`` (set by the parallel load phase
-    or restored from the cache) and falls back to collecting one here.
+    Accepts :class:`~repro.analysis.project.ProjectFile` objects and
+    collects each file's summary here, in input order.
     """
-    summaries: List[FileConcurrency] = []
-    for pf in files:
-        summary = getattr(pf, "summary", None)
-        if summary is None:
-            summary = collect_file(pf.path, pf.module, pf.tree)
-            pf.summary = summary
-        summaries.append(summary)
-    return ConcurrencyContext(CallGraph.link(summaries))
+    return ConcurrencyContext(CallGraph.link(
+        [collect_file(pf.path, pf.module, pf.tree) for pf in files]))
 
 
 def build_context_from_trees(

@@ -1,13 +1,10 @@
-"""The check runner: load -> summarize -> run rules -> suppress -> report.
+"""The check runner: load -> run rules -> suppress -> report.
 
-The run is two-phase.  **Phase 1** (parallelizable, cacheable) parses
-every file and computes its per-file concurrency summary — with
-``--jobs N`` this fans out over a process pool, and with the
-``.kondo-cache`` enabled unchanged files skip the parse entirely.
-**Phase 2** (always sequential, always deterministic) links the
-interprocedural context on demand and runs the rules; because phase 1's
-results are order-normalized before phase 2 starts, ``--jobs 4`` output
-is byte-identical to a sequential run.
+The run is one serial pass that writes nothing but its report (and the
+baseline, when asked to).  It parses every file in sorted-walk order,
+runs the per-file rules, then the project rules; the flow-aware rules
+build the interprocedural context on first use, so a run that selects
+only per-file rules never summarizes.
 
 Exit codes: 0 clean (every finding suppressed or baselined), 1 when new
 findings remain, 2 when the analyzer itself fails (usage errors, an
@@ -24,13 +21,11 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import DEFAULT_BASELINE, Baseline
-from repro.analysis.cache import DEFAULT_CACHE_DIR
 from repro.analysis.model import FRAMEWORK_RULE_ID, Finding, Severity
-from repro.analysis.project import Project, discover_sources, load_file
+from repro.analysis.project import Project, discover_sources
 from repro.analysis.report import render_json, render_sarif, render_text
 from repro.analysis.rulebase import Rule, all_rules
 from repro.ioutil import atomic_write
@@ -51,23 +46,6 @@ class CheckResult:
         return 1 if self.new else 0
 
 
-def _load_project(paths: Sequence[str], jobs: int,
-                  cache_dir: Optional[str]) -> Project:
-    """Phase 1: parse + summarize every file, optionally in parallel."""
-    sources = discover_sources(paths)
-    loader = partial(load_file, cache_dir=cache_dir)
-    if jobs > 1 and len(sources) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(sources) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # ``map`` preserves input order, so assembly — and therefore
-            # every downstream report byte — matches the sequential run.
-            results = list(pool.map(loader, sources, chunksize=chunk))
-    else:
-        results = [loader(p) for p in sources]
-    return Project.assemble(results)
-
-
 def _crash_finding(rule: Rule, path: str, module: str,
                    exc: Exception) -> Finding:
     return Finding(
@@ -82,11 +60,9 @@ def _crash_finding(rule: Rule, path: str, module: str,
 
 def run_check(paths: Sequence[str],
               select: Optional[Sequence[str]] = None,
-              baseline: Optional[Baseline] = None,
-              jobs: int = 1,
-              cache_dir: Optional[str] = None) -> CheckResult:
+              baseline: Optional[Baseline] = None) -> CheckResult:
     """Run the selected rules over ``paths`` (no reporting/IO)."""
-    project = _load_project(paths, jobs=jobs, cache_dir=cache_dir)
+    project = Project.load(paths)
     rules = all_rules()
     if select:
         wanted = {s.upper() for s in select}
@@ -166,15 +142,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "(e.g. KND001,KND004)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse/summarize files with N worker "
-                             "processes (output is byte-identical to "
-                             "--jobs 1; default 1)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="per-file analysis cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-file analysis cache")
 
 
 def build_arg_parser(prog: str = "kondo check"
@@ -218,8 +185,8 @@ def run_from_args(args: argparse.Namespace) -> int:
         if not os.path.exists(p):
             print(f"error: no such path: {p}", file=sys.stderr)
             return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
+    if not discover_sources(args.paths):
+        print(f"error: no Python sources under {', '.join(args.paths)}",
               file=sys.stderr)
         return 2
     try:
@@ -228,10 +195,8 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"error: bad baseline: {exc}", file=sys.stderr)
         return 2
     select = (args.select.split(",") if args.select else None)
-    cache_dir = None if args.no_cache else args.cache_dir
     try:
-        result = run_check(args.paths, select=select, baseline=baseline,
-                           jobs=args.jobs, cache_dir=cache_dir)
+        result = run_check(args.paths, select=select, baseline=baseline)
     # kondo: allow[KND003] the CLI boundary: an internal analyzer crash
     # must exit 2 (distinct from "findings" = 1) with a diagnostic, not
     # a bare traceback — the failure is reported, not swallowed

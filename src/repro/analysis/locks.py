@@ -38,9 +38,8 @@ class body, or a function local) — or when its terminal name contains
 ``lock``/``mutex``.  ``with open(...)`` and other non-lock context
 managers never match (the expression must be a plain name or attribute).
 
-Everything here is picklable and free of AST references, so the
-``--jobs`` process pool can compute summaries in workers and the
-``.kondo-cache`` can persist them alongside the parsed tree.
+Summaries hold no AST references: :func:`collect_file` reads a tree
+once, and the call graph links the plain records it returns.
 """
 
 from __future__ import annotations

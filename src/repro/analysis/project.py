@@ -7,15 +7,11 @@ from the topmost package directory is the module name.  That makes the
 same loader work for ``src/repro`` and for the throwaway fixture trees
 the test suite builds under ``tmp_path``.
 
-Loading is split into picklable top-level pieces —
-:func:`discover_sources` and :func:`load_file` — so the engine's
-``--jobs`` process pool can parse and summarize files in parallel, and
-so the content-addressed ``.kondo-cache`` can persist one file's parse
-(:mod:`repro.analysis.cache`) independently of the rest of the project.
-``load_file`` also precomputes the file's concurrency summary
-(:func:`repro.analysis.locks.collect_file`): it rides along in the
-pickle, which is what makes the two-phase run — summaries in workers,
-interprocedural analysis and rules in the parent — add up.
+Loading is one serial pass — :func:`discover_sources` lists the files,
+:func:`load_file` parses each, :meth:`Project.load` folds them in order —
+and writes nothing.  Concurrency summaries are not computed here: the
+flow-aware rules ask :meth:`Project.concurrency` for them, so a run that
+selects only per-file rules never summarizes.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from repro.analysis.suppress import SuppressionTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.callgraph import ConcurrencyContext
-    from repro.analysis.locks import FileConcurrency
 
 
 def infer_module(path: str) -> str:
@@ -56,10 +51,6 @@ class ProjectFile:
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
     suppressions: Optional[SuppressionTable] = None
-    #: Concurrency summary, precomputed by :func:`load_file` (and thus
-    #: by pool workers / the cache); ``build_context`` fills it lazily
-    #: for files constructed some other way.
-    summary: Optional["FileConcurrency"] = None
     #: child AST node -> parent, filled lazily by :meth:`parents`.
     _parents: Optional[Dict[int, ast.AST]] = None
 
@@ -108,24 +99,14 @@ def discover_sources(paths: Sequence[str]) -> List[str]:
     return sources
 
 
-def load_file(path: str,
-              cache_dir: Optional[str] = None
-              ) -> Union[ProjectFile, Finding]:
-    """Parse (or cache-restore) one source file.
+def load_file(path: str) -> Union[ProjectFile, Finding]:
+    """Parse one source file.
 
-    Returns the parsed :class:`ProjectFile` — suppression table and
-    concurrency summary included — or a KND000 :class:`Finding` when the
-    file does not parse.  Top-level and argument-picklable on purpose:
-    this is the unit of work the ``--jobs`` process pool ships around.
+    Returns the parsed :class:`ProjectFile`, suppression table included,
+    or a KND000 :class:`Finding` when the file does not parse.
     """
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
-    if cache_dir is not None:
-        from repro.analysis import cache
-        key = cache.cache_key(path, source)
-        hit = cache.load(cache_dir, key)
-        if hit is not None:
-            return hit
     module = infer_module(path)
     try:
         tree = ast.parse(source, filename=path)
@@ -137,16 +118,10 @@ def load_file(path: str,
             line=exc.lineno or 1, col=(exc.offset or 0) + 1,
             severity=Severity.ERROR,
         )
-    from repro.analysis.locks import collect_file
     lines = source.splitlines()
-    pf = ProjectFile(path=path, module=module, source=source,
-                     tree=tree, lines=lines)
-    pf.suppressions = SuppressionTable.scan(lines)
-    pf.summary = collect_file(path, module, tree)
-    if cache_dir is not None:
-        from repro.analysis import cache
-        cache.store(cache_dir, key, pf)
-    return pf
+    return ProjectFile(path=path, module=module, source=source,
+                       tree=tree, lines=lines,
+                       suppressions=SuppressionTable.scan(lines))
 
 
 @dataclass
@@ -173,21 +148,14 @@ class Project:
         return self._concurrency
 
     @classmethod
-    def assemble(cls, results: Sequence[Union[ProjectFile, Finding]]
-                 ) -> "Project":
-        """Fold per-file load results (in input order) into a project."""
+    def load(cls, paths: Sequence[str]) -> "Project":
+        """Parse every ``.py`` file under ``paths`` (files or dirs)."""
         files: List[ProjectFile] = []
         load_findings: List[Finding] = []
-        for item in results:
+        for path in discover_sources(paths):
+            item = load_file(path)
             if isinstance(item, Finding):
                 load_findings.append(item)
             else:
                 files.append(item)
         return cls(files=files, load_findings=load_findings)
-
-    @classmethod
-    def load(cls, paths: Sequence[str],
-             cache_dir: Optional[str] = None) -> "Project":
-        """Parse every ``.py`` file under ``paths`` (files or dirs)."""
-        return cls.assemble([load_file(p, cache_dir=cache_dir)
-                             for p in discover_sources(paths)])

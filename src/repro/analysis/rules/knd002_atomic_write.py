@@ -13,22 +13,14 @@ spelled with a literal mode.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.model import Finding, Severity
 from repro.analysis.project import Project, ProjectFile
 from repro.analysis.rulebase import Rule, register
+from repro.analysis.scopes import open_mode, open_mode_writes
 
 EXEMPT_MODULES = ("repro.ioutil",)
-
-
-def _mode_of(call: ast.Call) -> Optional[ast.expr]:
-    if len(call.args) >= 2:
-        return call.args[1]
-    for kw in call.keywords:
-        if kw.arg == "mode":
-            return kw.value
-    return None
 
 
 @register
@@ -49,13 +41,11 @@ class AtomicWriteRule(Rule):
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "open"):
                 continue
-            mode = _mode_of(node)
-            if mode is None:
-                continue  # default mode "r" cannot write
+            if not open_mode_writes(node):
+                continue
+            mode = open_mode(node)
             if isinstance(mode, ast.Constant) and isinstance(
                     mode.value, str):
-                if not any(c in mode.value for c in "wax+"):
-                    continue
                 yield self.finding(
                     pf, node,
                     f"raw open(..., {mode.value!r}) can leave a torn "

@@ -27,6 +27,7 @@ from typing import Iterator, Optional
 from repro.analysis.model import Finding, Severity
 from repro.analysis.project import Project, ProjectFile
 from repro.analysis.rulebase import Rule, register
+from repro.analysis.scopes import open_mode_writes
 
 #: The sanctioned mutation sites themselves.
 EXEMPT_MODULES = (
@@ -73,21 +74,6 @@ def _smells_durable(expr: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
-def _open_mode_writes(call: ast.Call) -> bool:
-    mode: Optional[ast.expr] = None
-    if len(call.args) >= 2:
-        mode = call.args[1]
-    else:
-        for kw in call.keywords:
-            if kw.arg == "mode":
-                mode = kw.value
-    if mode is None:
-        return False  # default "r" cannot write
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return any(c in mode.value for c in "wax+")
-    return True  # unreviewable mode: treat as writing
-
-
 def _dotted(func: ast.expr) -> str:
     parts = []
     node = func
@@ -126,7 +112,7 @@ class DurableWritesRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Name) and node.func.id == "open":
-                if not node.args or not _open_mode_writes(node):
+                if not node.args or not open_mode_writes(node):
                     continue
                 why = _smells_durable(node.args[0])
                 if why is None:

@@ -25,12 +25,12 @@ to "absent" is the reader's job, not the writer's.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.model import Finding, Severity
 from repro.analysis.project import Project, ProjectFile
 from repro.analysis.rulebase import Rule, register
-from repro.analysis.scopes import AliasTable
+from repro.analysis.scopes import AliasTable, open_mode_writes
 
 #: The raw write primitives only the fencing helper may touch.
 RAW_WRITERS = {
@@ -68,20 +68,6 @@ def _os_open_writes(call: ast.Call) -> bool:
     names |= {node.id for node in ast.walk(flags)
               if isinstance(node, ast.Name)}
     return bool(names & WRITE_FLAGS) or not names
-
-
-def _writable_mode(call: ast.Call) -> Optional[bool]:
-    """Whether a builtin ``open`` mode writes; None for a read mode."""
-    mode: Optional[ast.expr] = call.args[1] if len(call.args) >= 2 else None
-    if mode is None:
-        for kw in call.keywords:
-            if kw.arg == "mode":
-                mode = kw.value
-    if mode is None:
-        return None  # bare open(path) reads text — permitted
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return any(ch in mode.value for ch in "wax+") or None
-    return True  # dynamic mode: not reviewable as a read
 
 
 @register
@@ -124,7 +110,7 @@ class FencedStoreRule(Rule):
                 )
             elif (isinstance(node.func, ast.Name)
                     and node.func.id == "open"
-                    and _writable_mode(node)):
+                    and open_mode_writes(node)):
                 yield self.finding(
                     pf, node,
                     "writable open() in a service module: every byte in "

@@ -1,4 +1,4 @@
-"""Alias resolution shared by the AST rules.
+"""Alias resolution and ``open()`` mode reading shared by the AST rules.
 
 :class:`AliasTable` maps local names to the qualified module paths they
 were imported as (``np`` → ``numpy``, ``perf_counter`` →
@@ -6,6 +6,9 @@ were imported as (``np`` → ``numpy``, ``perf_counter`` →
 table.  Resolution only succeeds when the chain is rooted at a known
 import, which keeps rules from mistaking a local variable that happens
 to be called ``random`` for the stdlib module.
+
+:func:`open_mode_writes` is the one reading of whether a builtin
+``open()`` call can write, used by every rule that polices writes.
 """
 
 from __future__ import annotations
@@ -53,3 +56,28 @@ class AliasTable:
             return None
         parts.append(self.aliases[node.id])
         return ".".join(reversed(parts))
+
+
+def open_mode(call: ast.Call) -> Optional[ast.expr]:
+    """The mode expression of an ``open()`` call, or None when omitted."""
+    if len(call.args) >= 2:
+        return call.args[1]
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    return None
+
+
+def open_mode_writes(call: ast.Call) -> bool:
+    """Whether an ``open()`` call can write.
+
+    No mode reads; a literal mode writes when it holds any of ``wax+``;
+    a mode that is not a string literal cannot be reviewed, so it counts
+    as writing.
+    """
+    mode = open_mode(call)
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return any(c in mode.value for c in "wax+")
+    return True

@@ -23,10 +23,10 @@ Subcommands:
   interprocedural concurrency rules — lock-order cycles, blocking
   under a lock, fork safety — shard-merge determinism, and fenced
   fleet-store writes (rules
-  KND001–KND015; see ``kondo check --list-rules``).  Parallel parse
-  with ``--jobs N`` and an automatic
-  content-addressed cache under ``.kondo-cache/``; exits 0 clean, 1 on
-  findings, 2 on analyzer failure.
+  KND001–KND015; see ``kondo check --list-rules``).  One serial pass
+  that writes no file besides its report; exits 0 clean, 1 on
+  findings, 2 on analyzer failure (a path with no Python sources
+  included).
 * ``kondo fsck`` — deep-verify a KND/KNDS file: header envelope,
   every payload span, extent-directory consistency, journal state.
   Exit 0 clean / 1 localized span damage / 2 structural damage.

@@ -7,7 +7,8 @@ centroids, boundary distances, and can merge with neighbors.  ``Hull``
 handles every rank:
 
 * rank 0 — a point,
-* rank = d — a full-dimensional hull (own 2-D/3-D code, Qhull for d >= 4),
+* rank = d — a full-dimensional hull (own monotone chain for rank 2,
+  Qhull for every rank >= 3),
 * 0 < rank < d — points projected into their affine subspace, hulled there,
   with containment requiring membership of the subspace too.
 """
@@ -22,12 +23,6 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.hull2d import monotone_chain, polygon_area, polygon_halfspaces
-from repro.geometry.hull3d import (
-    hull3d_halfspaces,
-    hull3d_vertices,
-    hull3d_volume,
-    incremental_hull3d,
-)
 from repro.geometry.hullnd import qhull_hull
 from repro.geometry.primitives import (
     affine_basis,
@@ -42,13 +37,6 @@ from repro.geometry.primitives import (
 #: boundary (or its affine subspace) counts as inside.  Half a grid cell is
 #: the natural unit — hull vertices *are* accessed integer indices.
 DEFAULT_TOL = 1e-7
-
-#: Backend for rank-3 hulls: "qhull" (scipy, fast C) or "own" (the
-#: from-scratch incremental implementation in
-#: :mod:`repro.geometry.hull3d`).  Both produce the same facade; tests
-#: cross-check them.  Qhull is the default because the carver hulls
-#: hundreds of dense 3-D cells per campaign.
-HULL3D_BACKEND = "qhull"
 
 
 @dataclass(frozen=True)
@@ -114,11 +102,6 @@ class Hull:
                     raise GeometryError("rank-2 subspace produced a flat hull")
                 normals, offsets = polygon_halfspaces(verts)
                 return verts, normals, offsets, polygon_area(verts)
-            if r == 3 and HULL3D_BACKEND == "own":
-                pts3, faces = incremental_hull3d(coords)
-                normals, offsets = hull3d_halfspaces(pts3, faces)
-                return (hull3d_vertices(pts3, faces), normals, offsets,
-                        hull3d_volume(pts3, faces))
             return qhull_hull(coords)
         except GeometryError:
             # Numerically marginal rank (affine_basis said full rank, the

@@ -1,10 +1,9 @@
-"""General-dimension convex hulls (d >= 4) via Qhull.
+"""Convex hulls of rank >= 3 via Qhull.
 
-The paper's benchmarks are 2-D and 3-D, where this package uses its own
-from-scratch implementations (:mod:`~repro.geometry.hull2d`,
-:mod:`~repro.geometry.hull3d`).  For completeness the same facade also
-supports arbitrary dimension, delegating to scipy's Qhull bindings behind
-an identical (vertices, halfspaces, volume) interface.
+Rank-2 hulls use the from-scratch monotone chain
+(:mod:`~repro.geometry.hull2d`); every higher rank — the paper's 3-D
+programs included — delegates to scipy's Qhull bindings behind the same
+(vertices, halfspaces, volume) interface.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ def qhull_hull(points: np.ndarray
     normals such that interior points satisfy ``normals @ x <= offsets``.
     """
     if _QhullHull is None:  # pragma: no cover
-        raise GeometryError("scipy unavailable; d>=4 hulls unsupported")
+        raise GeometryError("scipy unavailable; rank >= 3 hulls unsupported")
     pts = dedupe_points(as_points(points))
     try:
         hull = _QhullHull(pts)

@@ -116,70 +116,29 @@ class TestSelfClean:
         assert present.get("KND002", 0) == 0
 
 
-class TestJobsAndCache:
-    def test_jobs_output_byte_identical_to_sequential(self, capsys):
-        # Acceptance: the parallel parse phase must not perturb a single
-        # output byte, in either format, over the real tree.
-        outs = {}
-        for fmt in ("text", "json"):
-            for jobs in ("1", "4"):
-                rc = check_main([real_src(), "--no-baseline", "--no-cache",
-                                 "--jobs", jobs, "--format", fmt])
-                assert rc == 0
-                outs[(fmt, jobs)] = capsys.readouterr().out
-            assert outs[(fmt, "1")] == outs[(fmt, "4")]
-
-    def test_cache_populates_and_second_run_matches(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY)
-        cache = tmp_path / "cache"
-        argv = [root, "--no-baseline", "--cache-dir", str(cache)]
-        rc = check_main(argv)
-        first = capsys.readouterr().out
-        assert rc == 1
-        assert list(cache.glob("*.pkl"))
-        rc = check_main(argv)
-        assert rc == 1
-        assert capsys.readouterr().out == first
-
-    def test_cache_invalidates_on_edit(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {
-            "repro/core/mod.py": "def fine():\n    return 1\n",
-        })
-        cache = tmp_path / "cache"
-        argv = [root, "--no-baseline", "--cache-dir", str(cache)]
-        assert check_main(argv) == 0
-        capsys.readouterr()
-        # The edit changes the content hash, so the stale entry is
-        # simply never consulted — no mtime games to get wrong.
-        (tmp_path / "repro/core/mod.py").write_text(
-            "def save(path):\n"
-            "    with open(path, 'w') as fh:\n"
-            "        fh.write('x')\n")
-        rc = check_main(argv)
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "KND002" in out
-
-    def test_no_cache_leaves_no_directory(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY)
-        cache = tmp_path / "cache"
-        rc = check_main([root, "--no-baseline", "--no-cache",
-                         "--cache-dir", str(cache)])
+class TestSerialPass:
+    def test_check_leaves_cwd_untouched(self, tmp_path, tmp_path_factory,
+                                        monkeypatch, capsys):
+        # A check writes no file besides the report it was asked for.
+        root = make_tree(tmp_path_factory.mktemp("tree"), DIRTY)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        rc = check_main([root, "--no-baseline"])
         capsys.readouterr()
         assert rc == 1
-        assert not cache.exists()
+        assert sorted(os.listdir(tmp_path)) == before
 
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path, capsys):
+    def test_per_file_rules_never_summarize(self, tmp_path, monkeypatch):
+        from repro.analysis import callgraph, locks
+
+        def explode(*args):
+            raise AssertionError("summarized for a per-file rule")
+
+        monkeypatch.setattr(locks, "collect_file", explode)
+        monkeypatch.setattr(callgraph, "collect_file", explode)
         root = make_tree(tmp_path, DIRTY)
-        cache = tmp_path / "cache"
-        argv = [root, "--no-baseline", "--cache-dir", str(cache)]
-        assert check_main(argv) == 1
-        first = capsys.readouterr().out
-        for entry in cache.glob("*.pkl"):
-            entry.write_bytes(b"not a pickle")
-        rc = check_main(argv)
-        assert rc == 1
-        assert capsys.readouterr().out == first
+        result = run_check([root], select=["KND002"])
+        assert [f.rule_id for f in result.new] == ["KND002"]
 
 
 class TestExitCodeContract:
@@ -255,11 +214,20 @@ class TestExitCodeContract:
         assert "internal analyzer failure" in err
         assert "loader wedged" in err
 
-    def test_bad_jobs_value_is_usage_error(self, capsys):
-        rc = check_main([real_src(), "--no-baseline", "--jobs", "0"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "--jobs" in err
+    def test_no_python_sources_is_usage_error(self, tmp_path, capsys):
+        # A gate that checked nothing must not pass: a non-.py file and
+        # an empty directory both exit 2 instead of "0 finding(s)".
+        readme = tmp_path / "README.md"
+        readme.write_text("# not python\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for target in (readme, empty):
+            rc = check_main([str(target), "--no-baseline"])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert (f"error: no Python sources under {target}"
+                    in captured.err)
 
     def test_syntax_error_is_a_finding_not_a_crash(self, tmp_path, capsys):
         root = make_tree(tmp_path, {

@@ -1,6 +1,8 @@
 """Unit + property tests for the from-scratch incremental 3-D hull.
 
-Cross-checked against scipy's Qhull on random point clouds.
+The hull is a test oracle (:mod:`tests.oracles.hull3d`); production
+hulls every rank >= 3 with Qhull.  Cross-checked against scipy's Qhull
+on random point clouds.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as QhullHull
 
 from repro.errors import GeometryError
-from repro.geometry.hull3d import (
+from tests.oracles.hull3d import (
     hull3d_halfspaces,
     hull3d_vertices,
     hull3d_volume,

@@ -1,21 +1,22 @@
-"""Cross-check the two 3-D hull backends behind the Hull facade."""
+"""Cross-check the Hull facade's Qhull path against the own 3-D hull.
+
+``Hull.from_points`` hulls every rank >= 3 with Qhull.  The from-scratch
+incremental hull it replaced lives on as :mod:`tests.oracles.hull3d`;
+these properties hold the production facade to the oracle's
+containment and volume.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.geometry.hull as hull_mod
 from repro.geometry import Hull
-
-
-@pytest.fixture
-def own_backend():
-    saved = hull_mod.HULL3D_BACKEND
-    hull_mod.HULL3D_BACKEND = "own"
-    yield
-    hull_mod.HULL3D_BACKEND = saved
-
+from tests.oracles.hull3d import (
+    hull3d_halfspaces,
+    hull3d_volume,
+    incremental_hull3d,
+)
 
 points_3d = st.lists(
     st.tuples(*[st.integers(0, 12)] * 3),
@@ -23,49 +24,48 @@ points_3d = st.lists(
 ).map(lambda pts: np.asarray(sorted(set(pts)), dtype=float))
 
 
+def full_rank(pts):
+    centered = pts - pts.mean(axis=0)
+    return (pts.shape[0] >= 4
+            and np.linalg.matrix_rank(centered, tol=1e-8) == 3)
+
+
+def oracle_contains(pts, probe, tol):
+    """Containment mask of ``probe`` in the oracle hull of ``pts``."""
+    hull_pts, faces = incremental_hull3d(pts)
+    normals, offsets = hull3d_halfspaces(hull_pts, faces)
+    return (probe @ normals.T - offsets[None, :] <= tol).all(axis=1)
+
+
 class TestBackendEquivalence:
-    def test_own_backend_selected(self, own_backend):
-        corners = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-        h = Hull.from_points(corners)
-        assert h.volume == pytest.approx(8.0)
+    def test_own_backend_selected(self):
+        # The own (oracle) hull and the facade agree on a cube.
+        corners = np.array(
+            [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)],
+            dtype=float,
+        )
+        pts, faces = incremental_hull3d(corners)
+        assert hull3d_volume(pts, faces) == pytest.approx(8.0)
+        assert Hull.from_points(corners).volume == pytest.approx(8.0)
 
     @given(points_3d)
     @settings(max_examples=40, deadline=None)
     def test_same_containment_both_backends(self, pts):
-        if pts.shape[0] < 4:
-            return
-        centered = pts - pts.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-8) < 3:
+        if not full_rank(pts):
             return
         probe = np.array(
             [[x, y, z] for x in range(0, 13, 3)
              for y in range(0, 13, 3) for z in range(0, 13, 3)],
             dtype=float,
         )
-        saved = hull_mod.HULL3D_BACKEND
-        try:
-            hull_mod.HULL3D_BACKEND = "qhull"
-            qhull = Hull.from_points(pts).contains(probe, tol=1e-6)
-            hull_mod.HULL3D_BACKEND = "own"
-            own = Hull.from_points(pts).contains(probe, tol=1e-6)
-        finally:
-            hull_mod.HULL3D_BACKEND = saved
-        assert np.array_equal(qhull, own)
+        facade = Hull.from_points(pts).contains(probe, tol=1e-6)
+        assert np.array_equal(facade, oracle_contains(pts, probe, 1e-6))
 
     @given(points_3d)
     @settings(max_examples=30, deadline=None)
     def test_same_volume_both_backends(self, pts):
-        if pts.shape[0] < 4:
+        if not full_rank(pts):
             return
-        centered = pts - pts.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-8) < 3:
-            return
-        saved = hull_mod.HULL3D_BACKEND
-        try:
-            hull_mod.HULL3D_BACKEND = "qhull"
-            v1 = Hull.from_points(pts).volume
-            hull_mod.HULL3D_BACKEND = "own"
-            v2 = Hull.from_points(pts).volume
-        finally:
-            hull_mod.HULL3D_BACKEND = saved
-        assert v1 == pytest.approx(v2, rel=1e-6, abs=1e-9)
+        own_pts, faces = incremental_hull3d(pts)
+        assert Hull.from_points(pts).volume == pytest.approx(
+            hull3d_volume(own_pts, faces), rel=1e-6, abs=1e-9)
