@@ -11,8 +11,9 @@ fallback) and lets ``kondo repair`` re-fetch only the damaged bytes.
 The table lives in ``arraymodel`` because it *is* part of the v3 format
 (written by ``ArrayFile.create`` / ``DebloatedArrayFile.create``, parsed
 by their ``open``); the resilience-side consumers (degrade-on-read,
-``kondo fsck`` / ``repair``) build on it from
-:mod:`repro.resilience.durability.spans`.
+``kondo fsck`` / ``repair``) import it from here, and
+:mod:`repro.resilience.durability.fsck` turns span classifications
+into its damage report.
 """
 
 from __future__ import annotations

@@ -693,8 +693,8 @@ def _await_marker(marker: str, timeout_s: float = 15.0) -> bool:
     return True
 
 
-def _serve_drill_service(state_dir: str, workers: int, job_runner=None,
-                         shard_runner=None, hedge_after_s=None):
+def _serve_drill_service(state_dir: str, workers: int, shard_runner=None,
+                         hedge_after_s=None):
     """A ``KondoService`` tuned for drill speed (fast ticks, real forks)."""
     from repro.resilience.retry import RetryPolicy
     from repro.service import KondoService
@@ -710,7 +710,6 @@ def _serve_drill_service(state_dir: str, workers: int, job_runner=None,
         default_deadline_s=60.0,
         heartbeat_interval_s=0.05,
         supervised=True,
-        job_runner=job_runner,
         shard_runner=shard_runner,
         hedge_after_s=hedge_after_s,
     ).start()
@@ -724,19 +723,19 @@ def _drill_worker_killed_mid_job(program, dims, seed: int,
     import signal
     import time
 
-    from repro.service import JobSpec, ServiceClient
-    from repro.service.runner import execute_job
+    from repro.service import JobSpec, ServiceClient, run_sharded_reference
+    from repro.service.shards import execute_shard
 
     name = "worker-killed-mid-job-requeues"
     state_dir = os.path.join(workdir, "serve-kill")
     spec = JobSpec(program=program.name, dims=dims, seed=seed,
                    max_iter=_SERVE_DRILL_ITER)
     # Reference: the digest an uninterrupted run of this spec produces.
-    reference = execute_job(spec.to_json())
+    reference = run_sharded_reference(spec)
 
     marker = os.path.join(workdir, "first-attempt.marker")
 
-    def first_attempt_hangs(spec_json: dict) -> dict:
+    def first_attempt_hangs(spec_json: dict, shard: int) -> dict:
         # Fork-safe one-shot switch: the first attempt to claim the
         # marker parks until the drill SIGKILLs it; every later attempt
         # runs the real campaign.
@@ -744,12 +743,12 @@ def _drill_worker_killed_mid_job(program, dims, seed: int,
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             os.close(fd)
         except FileExistsError:
-            return execute_job(spec_json)
+            return execute_shard(spec_json, shard)
         time.sleep(120)  # parked: the drill kills this process
-        return execute_job(spec_json)
+        return execute_shard(spec_json, shard)
 
     service = _serve_drill_service(state_dir, workers=1,
-                                   job_runner=first_attempt_hangs)
+                                   shard_runner=first_attempt_hangs)
     try:
         client = ServiceClient(service.socket_path, timeout_s=5.0)
         job_id = client.submit(spec)["job"]

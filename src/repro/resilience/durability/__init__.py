@@ -1,11 +1,10 @@
 """Durable bundles: per-span integrity, journaled lifecycle, fsck, repair.
 
 The durability layer is what makes every artifact the pipeline ships
-survive durable-state failure — bitrot, torn writes, crashes mid-heal:
+survive durable-state failure — bitrot, torn writes, crashes mid-heal.
+The per-span CRC32 table that localizes corruption to one span is part
+of the KND/KNDS v3 format and lives in :mod:`repro.arraymodel.spans`.
 
-* :mod:`~repro.resilience.durability.spans` — the per-span CRC32 table
-  carried by KND/KNDS v3 headers, so corruption is *localized* to one
-  span instead of merely detected file-wide.
 * :mod:`~repro.resilience.durability.journal` — the append-only patch /
   generation journal (intent → fsync → commit) that replaces whole-file
   heal rewrites, with crash recovery that always lands on the old or the
@@ -26,20 +25,12 @@ from repro.resilience.durability.journal import (
     write_patch,
 )
 from repro.resilience.durability.repair import RepairReport, repair_bundle
-from repro.resilience.durability.spans import (
-    DEFAULT_STRIPE_NBYTES,
-    SpanTable,
-    build_span_table,
-)
 
 __all__ = [
-    "DEFAULT_STRIPE_NBYTES",
     "BundleJournal",
     "FsckReport",
     "PatchFile",
     "RepairReport",
-    "SpanTable",
-    "build_span_table",
     "fsck_file",
     "read_patch",
     "repair_bundle",

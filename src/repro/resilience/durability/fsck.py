@@ -27,20 +27,20 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arraymodel.chunked import make_layout
 from repro.arraymodel.datafile import verify_header
 from repro.arraymodel.schema import ArraySchema
-from repro.errors import FileFormatError
-from repro.resilience.durability.journal import BundleJournal
-from repro.resilience.durability.spans import (
+from repro.arraymodel.spans import (
     SPAN_CLEAN,
+    SPAN_CORRUPT,
     SPAN_UNREADABLE,
-    bad_span_details,
-    damage_summary,
+    SpanTable,
     parse_optional_spans,
 )
+from repro.errors import FileFormatError
+from repro.resilience.durability.journal import BundleJournal
 
 KND_MAGIC = b"KND1"
 KNDS_MAGIC = b"KNDS"
@@ -222,6 +222,25 @@ def _check_consistency(path: str, report: FsckReport, header: dict,
             f"is {expected} bytes"
         )
     return expected
+
+
+def damage_summary(statuses: Sequence[str]) -> Dict[str, int]:
+    """Count spans by classification: ``{"clean": N, "corrupt": M, ...}``."""
+    counts = {SPAN_CLEAN: 0, SPAN_CORRUPT: 0, SPAN_UNREADABLE: 0}
+    for status in statuses:
+        counts[status] = counts.get(status, 0) + 1
+    return counts
+
+
+def bad_span_details(table: SpanTable, statuses: Sequence[str]
+                     ) -> List[Tuple[int, int, int, str]]:
+    """Every non-clean span as ``(ordinal, offset, size, status)``."""
+    out = []
+    for ordinal, status in enumerate(statuses):
+        if status != SPAN_CLEAN:
+            offset, size = table.span_range(ordinal)
+            out.append((ordinal, offset, size, status))
+    return out
 
 
 def _check_payload(path: str, report: FsckReport, header: dict,

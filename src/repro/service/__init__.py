@@ -10,10 +10,12 @@ and dead-letter records, cancels, completions and the outcome — and
 every state is derived from those records, so an accepted job survives
 any crash and a restart reclaims its dead incarnation's work at once.
 
-A job runs as units: one per shard of a sharded campaign (``--shards
-N``, seed-keyed slices merged bit-identically to any other shard
-count), or one unit for an unsharded job.  Units run in supervised
-children with a per-unit retry budget, seeded backoff and typed dead
+A job runs as units, the shards of its plan: one per shard of a
+sharded campaign (``--shards N``, seed-keyed slices merged
+bit-identically to any other shard count), or one shard holding the
+whole campaign for an unsharded job.  Every unit only fuzzes; the job
+seals by merging its units' clouds and carving once.  Units run in
+supervised children with a per-unit retry budget, seeded backoff and typed dead
 letters; a job with dead shards completes as an explicitly-marked
 PARTIAL result with its missing-Θ manifest.  Admission control answers
 overload with ``REJECTED-BUSY``, stragglers get claim-on-completion
@@ -33,15 +35,14 @@ from repro.service.fleet import (
     WorkerRegistry,
 )
 from repro.service.jobs import JobSpec, JobView, ShardView, backoff_delay_s
-from repro.service.runner import execute_job, result_digest
 from repro.service.shards import (
     ShardPlan,
-    ShardPlanner,
     ShardSlice,
     execute_shard,
     merge_shard_results,
     missing_theta_manifest,
     plan_shards,
+    result_digest,
     run_sharded_reference,
 )
 
@@ -57,11 +58,9 @@ __all__ = [
     "WorkerRegistry",
     "ServiceClient",
     "ShardPlan",
-    "ShardPlanner",
     "ShardSlice",
     "ShardView",
     "backoff_delay_s",
-    "execute_job",
     "execute_shard",
     "merge_shard_results",
     "missing_theta_manifest",

@@ -16,17 +16,17 @@ One :class:`KondoService` runs:
   admission control — a submission beyond ``queue_limit`` unsealed jobs
   is answered ``REJECTED-BUSY`` instead of growing without bound;
 * ``workers`` **claim loops**.  Each scans the store's unsealed jobs,
-  claims a runnable unit under a fencing token, runs it — a sharded
-  job's shard through :func:`~repro.service.shards.execute_shard`, an
-  unsharded job's one unit through
-  :func:`~repro.service.runner.execute_job` — in a supervised forked
+  claims a runnable unit under a fencing token, runs it — one shard of
+  the job's :func:`~repro.service.shards.plan_shards` plan (an
+  unsharded job's plan is one shard) through
+  :func:`~repro.service.shards.execute_shard` — in a supervised forked
   child whose heartbeats renew the lease, and publishes a token-stamped
   completion.  A failed attempt becomes a failure record carrying its
   verdict (TIMEOUT / OOM / SIGNALED / LOST-HEARTBEAT / EXCEPTION /
   LEASE-EXPIRED); within the retry budget the unit is retried after a
   seeded backoff, beyond it the unit dead-letters.  When every unit is
-  done or dead the loop seals the job: its unit result, the merged
-  shard result, an explicitly-marked PARTIAL result carrying the
+  done or dead the loop seals the job: the merged (unioned, carved)
+  result of its units, an explicitly-marked PARTIAL result carrying the
   missing-Θ manifest, or a typed dead letter.  With nothing to claim a
   loop hedges a straggling unit (claim-on-completion: the hedge runs
   first and claims a token only to publish, so it never fences out a
@@ -87,7 +87,6 @@ from repro.service.jobs import (
     JobView,
     backoff_delay_s,
 )
-from repro.service.runner import execute_job
 from repro.service.shards import (
     execute_shard,
     merge_shard_results,
@@ -166,10 +165,8 @@ class KondoService:
             thread — faster for unit tests, no isolation, and the only
             mode with per-iteration progress events (a callback cannot
             cross the fork boundary).
-        job_runner: override unsharded execution (chaos drills inject
+        shard_runner: override unit execution (chaos drills inject
             faulty runners); defaults to
-            :func:`repro.service.runner.execute_job`.
-        shard_runner: override shard execution; defaults to
             :func:`repro.service.shards.execute_shard`.  On the
             unsupervised path it is called with a ``progress=``
             keyword, so injected runners must accept it.
@@ -201,7 +198,6 @@ class KondoService:
         default_deadline_s: float = DEFAULT_DEADLINE_S,
         heartbeat_interval_s: float = 1.0,
         supervised: bool = True,
-        job_runner: Optional[Callable[[dict], dict]] = None,
         shard_runner: Optional[Callable[..., dict]] = None,
         hedge_after_s: Optional[float] = None,
         event_buffer: int = 256,
@@ -237,7 +233,6 @@ class KondoService:
         self.default_deadline_s = default_deadline_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.supervised = supervised
-        self.job_runner = job_runner or execute_job
         self.shard_runner = shard_runner or execute_shard
         self.hedge_after_s = hedge_after_s
         self.event_buffer = event_buffer
@@ -517,15 +512,6 @@ class KondoService:
                     pass
                 if not followers:
                     self._followers.pop(job_id, None)
-
-    def _unit_event(self, spec: JobSpec, kind: str, shard: int,
-                    **fields) -> None:
-        """A unit event: ``shard-<kind>`` for a shard, ``<kind>`` for an
-        unsharded job's one unit."""
-        if spec.shards:
-            self._publish(spec.key, f"shard-{kind}", shard=shard, **fields)
-        else:
-            self._publish(spec.key, kind, **fields)
 
     # -- the socket front door ----------------------------------------------
 
@@ -856,7 +842,8 @@ class KondoService:
             return
         attempt = _Attempt(claim.job, claim.shard, claim,
                            renewed_at=self.clock.monotonic())
-        self._unit_event(spec, "leased", claim.shard, worker=self.worker)
+        self._publish(spec.key, "shard-leased", shard=claim.shard,
+                      worker=self.worker)
         result, failure = self._attempt_unit(spec, attempt)
         if failure is not None:
             self._fail(spec, attempt.claim, *failure)
@@ -887,9 +874,8 @@ class KondoService:
                 hedge: bool) -> None:
         """A completion of this daemon's landed: tell followers, kill
         the local attempts it beat, and wake the loops to seal."""
-        if spec.shards:
-            self._publish(spec.key, "shard-done", shard=shard, hedge=hedge,
-                          n_indices=result.get("n_indices"))
+        self._publish(spec.key, "shard-done", shard=shard, hedge=hedge,
+                      n_indices=result.get("n_indices"))
         with self._attempts_lock:
             losers = list(self._attempts.get((spec.key, shard), []))
         for loser in losers:
@@ -924,13 +910,8 @@ class KondoService:
                     self._attempts.pop(key, None)
 
     def _call_runner(self, spec: JobSpec, attempt: _Attempt) -> dict:
-        spec_json = spec.to_json()
-        runner = self.shard_runner if spec.shards else self.job_runner
-        args = (spec_json, attempt.shard) if spec.shards else (spec_json,)
+        args = (spec.to_json(), attempt.shard)
         if not self.supervised:
-            if not spec.shards:
-                return runner(*args)
-
             def progress(ev: dict) -> None:
                 fields = dict(ev)
                 kind = fields.pop("kind", "progress")
@@ -938,7 +919,7 @@ class KondoService:
                 self._renew(attempt)
                 self._publish(spec.key, kind, **fields)
 
-            return runner(*args, progress=progress)
+            return self.shard_runner(*args, progress=progress)
 
         def on_spawn(pid: int) -> None:
             attempt.child_pid = pid
@@ -948,15 +929,14 @@ class KondoService:
             # the child's heartbeats renew the lease and double as
             # liveness progress events.
             self._renew(attempt)
-            if spec.shards:
-                self._publish(spec.key, "shard-alive", shard=attempt.shard)
+            self._publish(spec.key, "shard-alive", shard=attempt.shard)
 
         supervisor = Supervisor(
             timeout_s=spec.deadline_s or self.default_deadline_s,
             heartbeat_interval_s=self.heartbeat_interval_s,
             grace_s=1.0, on_spawn=on_spawn, on_heartbeat=on_heartbeat,
         )
-        return supervisor.bind(runner)(*args)
+        return supervisor.bind(self.shard_runner)(*args)
 
     def _renew(self, attempt: _Attempt) -> None:
         """Keep a running attempt's lease fresh; kill it once fenced.
@@ -998,8 +978,9 @@ class KondoService:
             return
         if state is None:
             return  # fenced or already complete: no budget burned
-        self._unit_event(spec, "failed", claim.shard, verdict=verdict)
-        if state == DEAD and spec.shards:
+        self._publish(spec.key, "shard-failed", shard=claim.shard,
+                      verdict=verdict)
+        if state == DEAD:
             self._publish(spec.key, "shard-dead", shard=claim.shard,
                           verdict=verdict)
         self._wake.set()
@@ -1009,9 +990,10 @@ class KondoService:
     def _maybe_seal(self, view: JobView) -> bool:
         """Seal the job once every unit is done or dead.
 
-        An unsharded job's outcome is its unit's result; a sharded job
-        merges its shards — DONE when all completed, PARTIAL (with the
-        missing-Θ manifest) when some dead-lettered, DEAD when all did.
+        The job merges its units' clouds and carves once — DONE when
+        all completed, PARTIAL (with the missing-Θ manifest) when some
+        dead-lettered, DEAD when all did (an unsharded job's one unit
+        names its own last verdict) or when the merge itself raised.
         The outcome record is first-writer-wins and the merge is
         deterministic, so racing sealers agree.
         """
@@ -1023,15 +1005,12 @@ class KondoService:
         done = {i: sv.result for i, sv in units.items() if sv.state == DONE}
         dead = sorted(i for i, sv in units.items() if sv.state == DEAD)
         token = max([sv.token or 1 for sv in units.values()] + [1])
-        fields: dict = {}
         verdict = None
         if not done:
             state, result = DEAD, None
             verdict = ("ALL-SHARDS-DEAD" if spec.shards
                        else (units[0].verdicts or ["FAILED"])[-1])
             fields = {"verdict": verdict}
-        elif not spec.shards:
-            state, result = DONE, done[0]
         else:
             try:
                 missing = (missing_theta_manifest(plan_shards(spec), dead)

@@ -19,11 +19,12 @@ store, :mod:`repro.service.fleet.store`)::
     cancel     ▼                ▼
           CANCELLED           DEAD
 
-A job is a set of units: an unsharded job is one unit, a sharded job
-(``spec.shards > 0``) one unit per shard, each running the machine
-above — so a crashed worker requeues *only its lost shards*.  A sharded
-job is ``RUNNING`` once any shard was claimed.  Sealing ends it: the
-unit's (or the merged shards') result makes it ``DONE``, a merge with
+A job is a set of units, the shards of its plan
+(:func:`repro.service.shards.plan_shards`): an unsharded job is one
+unit, a sharded job (``spec.shards > 0``) one unit per shard, each
+running the machine above — so a crashed worker requeues *only its lost
+shards*.  A sharded job is ``RUNNING`` once any shard was claimed.
+Sealing ends it: the merged units' result makes it ``DONE``, a merge with
 some shards dead-lettered makes it ``PARTIAL`` (with a missing-Θ
 manifest), all units dead make it ``DEAD``.  ``DONE``/``PARTIAL``/
 ``DEAD``/``CANCELLED`` are terminal and final: a resubmission of the
@@ -90,7 +91,9 @@ class JobSpec:
             campaign early, so two budgets are two different campaigns).
         carver: ``"merge"`` or ``"simple"`` (part of Θ).
         shards: shard the campaign into this many leasable units
-            (``0`` = the legacy single-campaign path).  *Whether* a job
+            (``0`` = unsharded: one unit running one campaign under
+            ``seed`` with the whole budget, which is what
+            ``Kondo.analyze`` runs for this Θ).  *Whether* a job
             is sharded is part of Θ (the sharded decomposition is a
             different campaign), but the shard *count* is not: the
             slice set is count-invariant, so every N produces the

@@ -1,4 +1,11 @@
-"""Sharded campaign planning, execution, and deterministic merge.
+"""Campaign planning, shard execution, and deterministic merge.
+
+Every service job runs through this module: its units are the shards of
+a :class:`ShardPlan`, each run by :func:`execute_shard` (fuzz only),
+and the job's result is :func:`merge_shard_results` (union, then one
+carve).  An unsharded job is the degenerate plan — one shard holding
+one slice that carries the job's own seed and whole budget — so its
+result is the digest ``Kondo.analyze`` gives for the same Θ.
 
 One sharded job is decomposed into a fixed set of **seed-keyed slices**
 — self-contained mini fuzz campaigns whose RNG seeds derive from the
@@ -62,8 +69,8 @@ class ShardSlice:
             across the grid, remainder to the lowest indices).
         budget_s: wall-clock budget share (``None`` when the job has no
             time budget; time-budgeted slices are deterministic per
-            seed only up to the budget cut, exactly like the legacy
-            single-campaign path).
+            seed only up to the budget cut, like any time-budgeted
+            campaign).
     """
 
     index: int
@@ -113,41 +120,41 @@ def derive_slice_seed(job_key: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class ShardPlanner:
+def plan_shards(spec: JobSpec) -> ShardPlan:
     """Deterministically partition a job's fuzz budget into shards.
 
-    The plan is a pure function of the job spec: the slice grid size is
-    ``min(DEFAULT_SLICES, iteration budget)``, per-slice budgets split
+    The plan is a pure function of the job spec.  An unsharded job
+    (``shards == 0``) is one shard holding one slice: the whole budget
+    under the job's own seed, which is exactly the campaign
+    ``Kondo.analyze`` runs for that Θ.  A sharded job's slice grid has
+    ``min(DEFAULT_SLICES, iteration budget)`` slices whose budgets split
     the job budget with the remainder going to the lowest slice
     indices, and each slice's seed is derived from the job key.  The
     requested shard count is clamped to the slice count (a shard with
     zero slices would be an unleasable no-op).
     """
-
-    def plan(self, spec: JobSpec) -> ShardPlan:
-        total_iter = (spec.max_iter if spec.max_iter is not None
-                      else FuzzConfig().max_iter)
-        n_slices = max(1, min(DEFAULT_SLICES, total_iter))
-        base, rem = divmod(total_iter, n_slices)
-        slice_budget_s = (spec.budget_s / n_slices
-                          if spec.budget_s is not None else None)
-        key = spec.key
-        slices = tuple(
-            ShardSlice(
-                index=i,
-                seed=derive_slice_seed(key, i),
-                max_iter=base + (1 if i < rem else 0),
-                budget_s=slice_budget_s,
-            )
-            for i in range(n_slices)
+    total_iter = (spec.max_iter if spec.max_iter is not None
+                  else FuzzConfig().max_iter)
+    key = spec.key
+    if not spec.shards:
+        whole = ShardSlice(index=0, seed=spec.seed, max_iter=total_iter,
+                           budget_s=spec.budget_s)
+        return ShardPlan(job_key=key, n_shards=1, slices=(whole,))
+    n_slices = max(1, min(DEFAULT_SLICES, total_iter))
+    base, rem = divmod(total_iter, n_slices)
+    slice_budget_s = (spec.budget_s / n_slices
+                      if spec.budget_s is not None else None)
+    slices = tuple(
+        ShardSlice(
+            index=i,
+            seed=derive_slice_seed(key, i),
+            max_iter=base + (1 if i < rem else 0),
+            budget_s=slice_budget_s,
         )
-        n_shards = max(1, min(spec.shards or 1, n_slices))
-        return ShardPlan(job_key=key, n_shards=n_shards, slices=slices)
-
-
-def plan_shards(spec: JobSpec) -> ShardPlan:
-    """Module-level convenience over :meth:`ShardPlanner.plan`."""
-    return ShardPlanner().plan(spec)
+        for i in range(n_slices)
+    )
+    n_shards = min(spec.shards, n_slices)
+    return ShardPlan(job_key=key, n_shards=n_shards, slices=slices)
 
 
 # -- point-cloud wire form ---------------------------------------------------
@@ -219,18 +226,41 @@ def _array_sha256(arr: np.ndarray) -> str:
     ).hexdigest()
 
 
+def _digest(iterations: int, n_useful: int, observed: np.ndarray,
+            carve) -> dict:
+    return {
+        "iterations": int(iterations),
+        "n_useful": int(n_useful),
+        "observed": int(observed.size),
+        "carved": int(carve.flat_indices.size),
+        "n_hulls": int(carve.n_hulls),
+        "observed_sha256": _array_sha256(observed),
+        "carved_sha256": _array_sha256(carve.flat_indices),
+    }
+
+
+def result_digest(result) -> dict:
+    """The compact, record-able digest of one ``Kondo.analyze`` result.
+
+    :func:`merge_shard_results` builds the same fields for a union of
+    shard clouds, so a job's sealed result compares with this directly.
+    """
+    return _digest(result.fuzz.iterations, result.fuzz.n_useful,
+                   result.observed_flat, result.carve)
+
+
 def execute_shard(spec_json: dict, shard_index: int,
                   progress: Optional[Callable[[dict], None]] = None) -> dict:
     """Run one shard's slices; return its point cloud + stats.
 
-    Pure like :func:`repro.service.runner.execute_job`: spec in, result
-    out, no daemon state — so a retried or hedged attempt produces a
-    bit-identical result (no timings in the payload, ``cloud_sha256``
-    pins the offset set).  ``progress`` (unsupervised path only) is
-    called once per fuzz iteration and once per finished slice.
+    Pure: spec in, result out, no daemon state — so a retried or hedged
+    attempt produces a bit-identical result (no timings in the payload,
+    ``cloud_sha256`` pins the offset set).  ``progress`` (unsupervised
+    path only) is called once per fuzz iteration and once per finished
+    slice.
     """
     spec = JobSpec.from_json(spec_json)
-    plan = ShardPlanner().plan(spec)
+    plan = plan_shards(spec)
     slices = plan.shard_slices(shard_index)
     clouds: List[np.ndarray] = []
     iterations = 0
@@ -279,8 +309,8 @@ def merge_shard_results(spec: JobSpec, shard_results: Dict[int, dict],
     """Union the per-shard point clouds and re-carve — deterministically.
 
     Shard results are folded in sorted shard-index order (KND014), the
-    union is sorted-unique, and the carve is the same single pass the
-    unsharded path runs — so the merged digest is bit-identical for
+    union is sorted-unique, and the carve is the same single pass
+    ``Kondo.analyze`` runs — so the merged digest is bit-identical for
     every shard count and every execution history that produced the
     same shard set.  ``missing`` marks the result PARTIAL and attaches
     the missing-Θ-region manifest.
@@ -297,18 +327,8 @@ def merge_shard_results(spec: JobSpec, shard_results: Dict[int, dict],
     program = get_program(spec.program)
     kondo = Kondo(program, spec.dims, carver=spec.carver)
     carve = kondo.carver.carve_flat(union)
-    result = {
-        "sharded": True,
-        "n_slices": len(plan.slices),
-        "iterations": iterations,
-        "n_useful": n_useful,
-        "observed": int(union.size),
-        "carved": int(carve.flat_indices.size),
-        "n_hulls": int(carve.n_hulls),
-        "observed_sha256": _array_sha256(union),
-        "carved_sha256": _array_sha256(
-            np.asarray(carve.flat_indices, dtype=np.int64)),
-    }
+    result = {"n_slices": len(plan.slices),
+              **_digest(iterations, n_useful, union, carve)}
     if missing:
         result["partial"] = True
         result["missing"] = missing

@@ -3,7 +3,7 @@
 Each row runs ``Kondo.analyze`` at a quick scale and a fixed seed, then
 ``Kondo.debloat_file`` of a deterministic KND source, and records:
 
-* the ``service/runner.py`` :func:`result_digest` fields (iteration and
+* the ``service/shards.py`` :func:`result_digest` fields (iteration and
   useful counts, observed/carved sizes and sha256, hull count);
 * the merge's cell-hull and merge counts;
 * ``hulls_sha256`` — the final hull vertices in canonical form (rounded
@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro import ArrayFile, ArraySchema, FuzzConfig, Kondo, accuracy, get_program
-from repro.service.runner import result_digest
+from repro.service.shards import result_digest
 from repro.workloads.registry import ALL_BENCHMARKS
 
 TABLE_PATH = os.path.join(os.path.dirname(__file__), "table.json")

@@ -1,9 +1,12 @@
-"""Socket-level daemon tests with an injected (inline) job runner.
+"""Socket-level daemon tests with an injected (inline) shard runner.
 
-``supervised=False`` runs jobs inline on worker threads — no forking —
+``supervised=False`` runs units inline on worker threads — no forking —
 so these tests exercise the daemon's own machinery (admission control,
 lease expiry, retry scheduling, drain, the wire protocol) fast; the
-forked path is covered by the service chaos drills.
+forked path is covered by the service chaos drills.  The jobs here are
+unsharded, so each is one unit whose injected result is merged (one
+carve of a one-point cloud) into the sealed digest; the fake runners
+tag each attempt through the ``iterations`` the digest carries.
 """
 
 import socket
@@ -11,9 +14,10 @@ import time
 
 import pytest
 
+from repro import FuzzConfig, Kondo, get_program
 from repro.errors import JobRejectedError, ServiceError, ServiceProtocolError
 from repro.resilience.retry import RetryPolicy
-from repro.service import JobSpec, KondoService, ServiceClient
+from repro.service import JobSpec, KondoService, ServiceClient, result_digest
 
 DIMS = (16, 16)
 
@@ -26,20 +30,33 @@ def spec(seed=0, **kw):
     return JobSpec(program="CS", dims=DIMS, seed=seed, max_iter=10, **kw)
 
 
+def unit(iterations):
+    """A shard-shaped runner result tagged by its ``iterations``."""
+    return {"cloud": [[0, 1]], "iterations": iterations, "n_useful": 0}
+
+
+def echo_seed(sj, shard, progress=None):
+    return unit(sj["seed"])
+
+
+def nothing(sj, shard, progress=None):
+    return unit(0)
+
+
 def make_service(tmp_path, runner, **kw):
     kw.setdefault("workers", 1)
     kw.setdefault("queue_limit", 4)
     kw.setdefault("retry_policy", FAST_RETRY)
     kw.setdefault("drain_timeout_s", 10.0)
     return KondoService(str(tmp_path), supervised=False,
-                        job_runner=runner, **kw)
+                        shard_runner=runner, **kw)
 
 
 @pytest.fixture
 def service(tmp_path):
-    """A started daemon whose runner echoes the spec seed; drained on
-    teardown."""
-    svc = make_service(tmp_path, lambda sj: {"seed": sj["seed"]}).start()
+    """A started daemon whose runner echoes the spec seed as the unit's
+    iteration count; drained on teardown."""
+    svc = make_service(tmp_path, echo_seed).start()
     yield svc
     svc.abort()
 
@@ -61,7 +78,7 @@ class TestSubmitToCompletion:
         job = client.submit(spec(seed=5))["job"]
         final = client.wait_for(job, timeout_s=10.0)
         assert final["state"] == "done"
-        assert final["result"] == {"seed": 5}
+        assert final["result"]["iterations"] == 5
 
     def test_repeat_submission_serves_cache(self, service):
         client = client_of(service)
@@ -70,7 +87,7 @@ class TestSubmitToCompletion:
         again = client.submit(spec())
         assert again["deduped"]
         assert again["state"] == "done"
-        assert again["result"] == {"seed": 0}
+        assert again["result"]["iterations"] == 0
 
     def test_status_of_unknown_job(self, service):
         with pytest.raises(JobRejectedError) as exc:
@@ -86,7 +103,7 @@ class TestSubmitToCompletion:
 
 class TestAdmissionControl:
     def test_overload_degrades_to_rejected_busy(self, tmp_path):
-        svc = make_service(tmp_path, lambda sj: {}, workers=0,
+        svc = make_service(tmp_path, nothing, workers=0,
                            queue_limit=2).start()
         try:
             client = client_of(svc)
@@ -103,7 +120,7 @@ class TestAdmissionControl:
 
     def test_rejection_is_not_sticky(self, tmp_path):
         """Capacity freed by a completion re-opens admission."""
-        svc = make_service(tmp_path, lambda sj: {}, workers=1,
+        svc = make_service(tmp_path, nothing, workers=1,
                            queue_limit=1).start()
         try:
             client = client_of(svc)
@@ -114,7 +131,7 @@ class TestAdmissionControl:
             svc.abort()
 
     def test_draining_daemon_rejects_submissions(self, tmp_path):
-        svc = make_service(tmp_path, lambda sj: {}, workers=0).start()
+        svc = make_service(tmp_path, nothing, workers=0).start()
         try:
             client = client_of(svc)
             client.drain()
@@ -134,7 +151,7 @@ class TestAdmissionControl:
 
 class TestCancel:
     def test_cancel_queued_job(self, tmp_path):
-        svc = make_service(tmp_path, lambda sj: {}, workers=0).start()
+        svc = make_service(tmp_path, nothing, workers=0).start()
         try:
             client = client_of(svc)
             job = client.submit(spec())["job"]
@@ -156,11 +173,11 @@ class TestRetryAndDeadLetter:
     def test_transient_failure_retries_to_success(self, tmp_path):
         attempts = []
 
-        def flaky(sj):
+        def flaky(sj, shard, progress=None):
             attempts.append(1)
             if len(attempts) == 1:
                 raise RuntimeError("transient worker death")
-            return {"attempt": len(attempts)}
+            return unit(len(attempts))
 
         svc = make_service(tmp_path, flaky).start()
         try:
@@ -170,13 +187,13 @@ class TestRetryAndDeadLetter:
             assert final["state"] == "done"
             assert final["attempts"] == 1
             assert final["verdicts"] == ["EXCEPTION"]
-            assert final["result"] == {"attempt": 2}
+            assert final["result"]["iterations"] == 2
             assert landed_once(svc, job)
         finally:
             svc.abort()
 
     def test_budget_exhaustion_dead_letters(self, tmp_path):
-        def always_dies(sj):
+        def always_dies(sj, shard, progress=None):
             raise RuntimeError("deterministic failure")
 
         svc = make_service(tmp_path, always_dies).start()
@@ -199,12 +216,12 @@ class TestLeaseExpiry:
         retried attempt owns the only complete record."""
         finished = []
 
-        def slow_then_fast(sj):
+        def slow_then_fast(sj, shard, progress=None):
             if not finished:
                 finished.append(1)
                 time.sleep(1.0)  # far past the 0.15s lease ttl
-                return {"attempt": "stale"}
-            return {"attempt": "retry"}
+                return unit(1)  # the stale attempt
+            return unit(2)  # the retry
 
         svc = make_service(tmp_path, slow_then_fast,
                            lease_ttl_s=0.15).start()
@@ -214,7 +231,7 @@ class TestLeaseExpiry:
             final = client.wait_for(job, timeout_s=20.0)
             assert final["state"] == "done"
             assert final["verdicts"] == ["LEASE-EXPIRED"]
-            assert final["result"] == {"attempt": "retry"}
+            assert final["result"]["iterations"] == 2
             assert landed_once(svc, job)
         finally:
             svc.abort()
@@ -222,7 +239,7 @@ class TestLeaseExpiry:
 
 class TestDrain:
     def test_drain_finishes_admitted_work(self, tmp_path):
-        svc = make_service(tmp_path, lambda sj: {"ok": 1}).start()
+        svc = make_service(tmp_path, nothing).start()
         client = client_of(svc)
         job = client.submit(spec())["job"]
         client.drain()
@@ -230,18 +247,18 @@ class TestDrain:
         assert svc.store.view(job).state == "done"
 
     def test_recovery_requeues_accepted_jobs(self, tmp_path):
-        svc = make_service(tmp_path, lambda sj: {}, workers=0).start()
+        svc = make_service(tmp_path, nothing, workers=0).start()
         client = client_of(svc)
         jobs = [client.submit(spec(seed=i))["job"] for i in range(3)]
         svc.abort()  # crash
-        restarted = make_service(tmp_path,
-                                 lambda sj: {"recovered": True}).start()
+        restarted = make_service(
+            tmp_path, lambda sj, shard, progress=None: unit(7)).start()
         try:
             client = client_of(restarted)
             for job in jobs:
                 final = client.wait_for(job, timeout_s=10.0)
                 assert final["state"] == "done"
-                assert final["result"] == {"recovered": True}
+                assert final["result"]["iterations"] == 7
                 assert landed_once(restarted, job)
         finally:
             restarted.abort()
@@ -278,11 +295,9 @@ class TestWireProtocol:
 
 
 class TestOneExecutionPath:
-    def test_unsharded_digest_equals_execute_job(self, tmp_path):
-        """An unsharded job is a one-unit job whose result is its unit's
-        result: the digest ``execute_job`` computes, unchanged."""
-        from repro.service import execute_job
-
+    def test_unsharded_digest_equals_plain_analyze(self, tmp_path):
+        """An unsharded job is a one-slice plan: its sealed result is
+        the digest a plain ``Kondo.analyze`` of the same Θ gives."""
         job_spec = spec(seed=3)
         svc = KondoService(str(tmp_path), supervised=False, workers=1,
                            retry_policy=FAST_RETRY).start()
@@ -291,15 +306,40 @@ class TestOneExecutionPath:
             job = client.submit(job_spec)["job"]
             final = client.wait_for(job, timeout_s=60.0)
             assert final["state"] == "done"
-            assert final["result"] == execute_job(job_spec.to_json())
+            direct = result_digest(Kondo(
+                get_program("CS"), DIMS,
+                fuzz_config=FuzzConfig(rng_seed=3, max_iter=10)).analyze())
+            assert final["result"] == dict(direct, n_slices=1)
             assert landed_once(svc, job)
+        finally:
+            svc.abort()
+
+    def test_unsharded_follow_streams_unit_progress(self, tmp_path):
+        """Unsupervised, an unsharded job streams the same unit events
+        and per-iteration progress a shard does."""
+        svc = KondoService(str(tmp_path), supervised=False, workers=1,
+                           retry_policy=FAST_RETRY).start()
+        try:
+            client = client_of(svc)
+            job = client.submit(spec(seed=4))["job"]
+            events = [ev for ev in client.follow(job, timeout_s=60.0)
+                      if ev["kind"] != "keepalive"]
+            kinds = [ev["kind"] for ev in events]
+            order = [kinds.index(k) for k in (
+                "shard-leased", "iteration", "slice-done", "shard-done")]
+            assert order == sorted(order)
+            assert "submitted" in kinds
+            assert kinds[-2:] == ["done", "end"]
+            assert all(ev["shard"] == 0 for ev in events
+                       if ev["kind"].startswith("shard-")
+                       or ev["kind"] in ("iteration", "slice-done"))
         finally:
             svc.abort()
 
     def test_cancelled_job_stays_cancelled(self, tmp_path):
         """A cancel record never changes: resubmitting the key serves
         the cancelled state instead of reopening the job."""
-        svc = make_service(tmp_path, lambda sj: {}, workers=0).start()
+        svc = make_service(tmp_path, nothing, workers=0).start()
         try:
             client = client_of(svc)
             job = client.submit(spec())["job"]
@@ -311,7 +351,7 @@ class TestOneExecutionPath:
 
     def test_state_dir_with_an_old_journal_is_refused(self, tmp_path):
         (tmp_path / "jobs.log").write_bytes(b"")
-        svc = make_service(tmp_path, lambda sj: {})
+        svc = make_service(tmp_path, nothing)
         with pytest.raises(ServiceError, match="jobs.log"):
             svc.start()
 
@@ -320,9 +360,9 @@ class TestOneExecutionPath:
         identical submission is served the result without re-running."""
         ran = []
 
-        def runner(sj):
+        def runner(sj, shard, progress=None):
             ran.append(sj["seed"])
-            return {"seed": sj["seed"]}
+            return unit(sj["seed"])
 
         svc = make_service(tmp_path, runner).start()
         try:
@@ -334,7 +374,8 @@ class TestOneExecutionPath:
         again = make_service(tmp_path, runner).start()
         try:
             served = client_of(again).submit(spec(seed=5))
-            assert served["deduped"] and served["result"] == {"seed": 5}
+            assert served["deduped"]
+            assert served["result"]["iterations"] == 5
             assert ran == [5]  # the campaign ran exactly once
         finally:
             again.abort()

@@ -20,7 +20,6 @@ from repro.service import (
     JobSpec,
     KondoService,
     ServiceClient,
-    execute_job,
     run_sharded_reference,
 )
 from repro.service.shards import execute_shard
@@ -116,7 +115,7 @@ class TestFleetCampaign:
             events = list(client_of(beta).follow(job, timeout_s=60.0))
             assert events[-1] == {"kind": "end", "state": "done"}
             final = client_of(alpha).status(job)
-            assert final["result"] == execute_job(unsharded.to_json())
+            assert final["result"] == run_sharded_reference(unsharded)
             audit = client_of(alpha).request("audit", job=job)
             assert audit["ok"] is True
             assert [s["landed_events"] for s in audit["shards"]] == [1]

@@ -1,10 +1,11 @@
-"""Sharded campaigns: planner determinism, N-invariance, the merge.
+"""Campaign plans: planner determinism, N-invariance, the merge.
 
 The hypothesis properties here pin the sharding contract: the sharded
 campaign's merged output equals the shard-count-1 run bit-identically
-for *arbitrary* shard counts, and the merge is order-free.  Crash
-recovery of the shard records is the campaign store's property
-(``test_fleet_store.py``).
+for *arbitrary* shard counts, and the merge is order-free.  An
+unsharded job is the one-slice plan, and its merged digest equals a
+plain ``Kondo.analyze`` of the same Θ.  Crash recovery of the shard
+records is the campaign store's property (``test_fleet_store.py``).
 """
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FuzzConfig, Kondo, get_program
 from repro.errors import ServiceError
 from repro.service import JobSpec
 from repro.service.shards import (
     DEFAULT_SLICES,
-    ShardPlanner,
+    ShardSlice,
     decode_runs,
     derive_slice_seed,
     encode_runs,
@@ -24,8 +26,10 @@ from repro.service.shards import (
     merge_shard_results,
     missing_theta_manifest,
     plan_shards,
+    result_digest,
     run_sharded_reference,
 )
+from repro.workloads.registry import ALL_BENCHMARKS
 
 DIMS = (16, 16)
 MAX_ITER = 12
@@ -38,8 +42,8 @@ def spec(shards=4, seed=3, **kw):
 
 class TestShardPlanner:
     def test_plan_is_deterministic(self):
-        a = ShardPlanner().plan(spec())
-        b = ShardPlanner().plan(spec())
+        a = plan_shards(spec())
+        b = plan_shards(spec())
         assert a == b
         assert a.to_json() == b.to_json()
 
@@ -88,6 +92,15 @@ class TestShardPlanner:
         assert spec(shards=2).key == spec(shards=7).key
         assert spec(shards=2).key != unsharded.key
 
+    def test_unsharded_plan_is_one_slice_with_the_whole_budget(self):
+        s = spec(shards=0, budget_s=5.0)
+        plan = plan_shards(s)
+        assert plan.n_shards == 1
+        assert plan.slices == (ShardSlice(index=0, seed=s.seed,
+                                          max_iter=MAX_ITER, budget_s=5.0),)
+        default = plan_shards(JobSpec(program="CS", dims=DIMS))
+        assert default.slices[0].max_iter == FuzzConfig().max_iter
+
     def test_shards_out_of_range_rejected(self):
         from repro.errors import JobRejectedError
 
@@ -110,6 +123,24 @@ class TestRunCodec:
         assert encode_runs([0, 1, 2, 7]) == [[0, 3], [7, 1]]
         assert encode_runs([]) == []
         assert decode_runs([]).size == 0
+
+
+class TestUnshardedIsPlainAnalyze:
+    """The one-slice plan's merged digest is ``Kondo.analyze``'s."""
+
+    @pytest.mark.parametrize("carver", ["merge", "simple"])
+    @pytest.mark.parametrize("program", ALL_BENCHMARKS)
+    def test_digest_equals_analyze(self, program, carver):
+        prog = get_program(program)
+        dims = (32, 32) if prog.ndim == 2 else (16, 16, 16)
+        job = JobSpec(program=program, dims=dims, seed=5, max_iter=20,
+                      carver=carver)
+        merged = run_sharded_reference(job)
+        direct = result_digest(Kondo(
+            prog, dims, carver=carver,
+            fuzz_config=FuzzConfig(rng_seed=5, max_iter=20)).analyze())
+        assert {k: merged[k] for k in direct} == direct
+        assert merged["n_slices"] == 1
 
 
 class _Reference:
