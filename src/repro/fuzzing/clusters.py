@@ -15,6 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import CheckpointError
+
 
 @dataclass
 class Cluster:
@@ -35,40 +37,67 @@ class Cluster:
 
 
 class ClusterSet:
-    """All clusters of one type (useful or non-useful), with fast lookup."""
+    """All clusters of one type (useful or non-useful), with fast lookup.
+
+    ``centers`` is one ``(k, d)`` array and ``sizes`` one ``(k,)`` array,
+    in founding order, so ``add`` and ``nearest`` compute every distance
+    in one call.  ``add`` updates the joined center in place with
+    :meth:`Cluster.add`'s float operations.
+    """
 
     def __init__(self, diameter: float, useful: bool):
         self.diameter = diameter
         self.useful = useful
-        self.clusters: List[Cluster] = []
+        self.reset()
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return self.sizes.size
 
-    def _centers(self) -> np.ndarray:
-        return np.asarray([c.center for c in self.clusters])
+    @property
+    def clusters(self) -> List[Cluster]:
+        """Snapshot of every cluster as a :class:`Cluster`."""
+        return [self._cluster(i) for i in range(len(self))]
 
-    def add(self, v: Sequence[float]) -> Cluster:
+    def _cluster(self, i: int) -> Cluster:
+        return Cluster(center=self.centers[i].copy(),
+                       size=int(self.sizes[i]), useful=self.useful)
+
+    def add(self, v: Sequence[float]) -> None:
         """ADD_TO_CLUSTER: join the nearest cluster or found a new one."""
         v = np.asarray(v, dtype=np.float64)
-        if self.clusters:
-            dists = np.linalg.norm(self._centers() - v, axis=1)
-            nearest = int(dists.argmin())
-            if dists[nearest] <= self.diameter:
-                self.clusters[nearest].add(v)
-                return self.clusters[nearest]
-        cluster = Cluster(center=v.copy(), useful=self.useful)
-        self.clusters.append(cluster)
-        return cluster
+        if len(self):
+            dists = np.linalg.norm(self.centers - v, axis=1)
+            i = int(dists.argmin())
+            if dists[i] <= self.diameter:
+                self.sizes[i] += 1
+                center = self.centers[i]
+                center[:] = center + (v - center) / int(self.sizes[i])
+                return
+        self.centers = np.vstack(
+            [self.centers.reshape(len(self), v.size), v])
+        self.sizes = np.append(self.sizes, 1)
 
     def nearest(self, v: Sequence[float]) -> Optional[Tuple[Cluster, float]]:
         """Nearest cluster (and its center distance) to ``v``, if any."""
-        if not self.clusters:
+        if not len(self):
             return None
         v = np.asarray(v, dtype=np.float64)
-        dists = np.linalg.norm(self._centers() - v, axis=1)
+        dists = np.linalg.norm(self.centers - v, axis=1)
         i = int(dists.argmin())
-        return self.clusters[i], float(dists[i])
+        return self._cluster(i), float(dists[i])
+
+    def load(self, centers: np.ndarray, sizes: np.ndarray) -> None:
+        """Replace every cluster with ``(k, d)`` centers and ``(k,)`` sizes
+        (a checkpoint's ``cl_*_centers`` / ``cl_*_sizes``)."""
+        centers = np.array(centers, dtype=np.float64)
+        sizes = np.array(sizes, dtype=np.int64)
+        if centers.ndim != 2 or sizes.shape != centers.shape[:1]:
+            raise CheckpointError(
+                f"cluster centers of shape {centers.shape} do not match "
+                f"sizes of shape {sizes.shape}"
+            )
+        self.centers, self.sizes = centers, sizes
 
     def reset(self) -> None:
-        self.clusters.clear()
+        self.centers = np.empty((0, 0))
+        self.sizes = np.empty(0, dtype=np.int64)

@@ -28,6 +28,11 @@ from repro.fuzzing.parameters import ParameterSpace
 _SCALE_MIN = 0.25
 _SCALE_MAX = 4.0
 
+#: ``_SIGNS[rng.integers(0, 2, size)]`` draws the same values, and leaves
+#: the generator in the same state, as ``rng.choice((-1.0, 1.0), size)``,
+#: without ``choice``'s per-call argument handling.
+_SIGNS = np.array((-1.0, 1.0))
+
 
 def uniform_mutations(
     v: Sequence[float],
@@ -40,15 +45,18 @@ def uniform_mutations(
 
     Each of the ``reps`` children moves every coordinate by a random sign
     times a magnitude drawn uniformly from ``dist``, then clips into Theta.
+    The draws stay per child (signs, then steps): drawing all children's
+    signs in one call would change the random stream, and with it every
+    seeded campaign.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = []
     lo, hi = dist
-    for _ in range(reps):
-        signs = rng.choice((-1.0, 1.0), size=v.shape)
-        steps = rng.uniform(lo, hi, size=v.shape)
-        out.append(space.clip(v + signs * steps))
-    return out
+    signs = np.empty((reps, v.size))
+    steps = np.empty((reps, v.size))
+    for i in range(reps):
+        signs[i] = _SIGNS[rng.integers(0, 2, size=v.shape)]
+        steps[i] = rng.uniform(lo, hi, size=v.shape)
+    return space.clip_rows(v + signs * steps)
 
 
 def greedy_mutations(
@@ -82,12 +90,13 @@ def greedy_mutations(
     frame_ref = max((lo + hi) / 2.0, 1e-9)
     scale = float(np.clip(target_distance / (2.0 * frame_ref),
                           _SCALE_MIN, _SCALE_MAX))
-    out = []
-    for _ in range(reps):
-        magnitude = rng.uniform(lo, hi) * scale
-        # Never overshoot past the opposite center — the boundary lies
-        # between v and it.
-        magnitude = min(magnitude, norm)
-        jitter = rng.uniform(-lo, lo, size=v.shape) if lo > 0 else 0.0
-        out.append(space.clip(v + direction * magnitude + jitter))
-    return out
+    magnitudes = np.empty((reps, 1))
+    jitters = np.zeros((reps, v.size))
+    for i in range(reps):
+        magnitudes[i] = rng.uniform(lo, hi) * scale
+        if lo > 0:
+            jitters[i] = rng.uniform(-lo, lo, size=v.shape)
+    # Never overshoot past the opposite center — the boundary lies
+    # between v and it.
+    magnitudes = np.minimum(magnitudes, norm)
+    return space.clip_rows(v + direction * magnitudes + jitters)

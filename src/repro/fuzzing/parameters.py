@@ -9,7 +9,7 @@ container creator supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,11 +61,25 @@ class ParameterSpace:
     """The full ``Theta``: one :class:`ParameterRange` per parameter."""
 
     ranges: Tuple[ParameterRange, ...]
+    #: Per-dimension bounds and integer flags as arrays, built once for
+    #: the vectorized :meth:`clip`; equality and hashing use ``ranges``.
+    lo: np.ndarray = field(init=False, compare=False, repr=False)
+    hi: np.ndarray = field(init=False, compare=False, repr=False)
+    integer: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.ranges:
             raise FuzzConfigError("parameter space must have >= 1 dimension")
-        object.__setattr__(self, "ranges", tuple(self.ranges))
+        ranges = tuple(self.ranges)
+        object.__setattr__(self, "ranges", ranges)
+        for name, values, dtype in (
+            ("lo", [r.lo for r in ranges], np.float64),
+            ("hi", [r.hi for r in ranges], np.float64),
+            ("integer", [r.integer for r in ranges], bool),
+        ):
+            arr = np.asarray(values, dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def of(cls, *bounds: Sequence[float], integer: bool = True
@@ -93,11 +107,31 @@ class ParameterSpace:
         )
 
     def clip(self, v: Sequence[float]) -> Tuple[float, ...]:
-        if len(v) != self.ndim:
+        """Clamp ``v`` into Theta, rounding integer dimensions.
+
+        Equal, float for float, to :meth:`ParameterRange.clip` applied
+        per dimension.
+        """
+        return self.clip_rows(np.asarray(v, dtype=np.float64)[None])[0]
+
+    def clip_rows(self, rows: np.ndarray) -> List[Tuple[float, ...]]:
+        """:meth:`clip` of every row of an ``(n, ndim)`` array at once.
+
+        The two ``where`` calls keep the operand choice of Python's
+        ``min(max(x, lo), hi)``, down to the sign of a zero.  ``np.rint``
+        rounds half to even, as ``round`` does, and ``+ 0.0`` turns its
+        ``-0.0`` into the ``0.0`` that ``float(round(x))`` gives.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.ndim:
             raise ProgramError(
-                f"parameter value has {len(v)} components, expected {self.ndim}"
+                f"parameter values of shape {rows.shape}, expected "
+                f"(n, {self.ndim})"
             )
-        return tuple(r.clip(x) for r, x in zip(self.ranges, v))
+        rows = np.where(self.lo > rows, self.lo, rows)
+        rows = np.where(self.hi < rows, self.hi, rows)
+        rows = np.where(self.integer, np.rint(rows) + 0.0, rows)
+        return [tuple(row) for row in rows.tolist()]
 
     def sample(self, rng: np.random.Generator) -> Tuple[float, ...]:
         """One uniform sample from Theta."""

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import CheckpointError, FuzzConfigError, InjectedFault
-from repro.fuzzing.clusters import Cluster, ClusterSet
+from repro.fuzzing.clusters import ClusterSet
 from repro.fuzzing.config import FuzzConfig
 from repro.fuzzing.mutation import greedy_mutations, uniform_mutations
 from repro.fuzzing.parameters import ParameterSpace, Seed
@@ -242,18 +242,10 @@ class FuzzSchedule:
             "seed_iter": np.asarray(
                 [s.iteration for s in self.seeds], dtype=np.int64
             ),
-            "cl_u_centers": self._vs_array(
-                c.center for c in self.cl_u.clusters
-            ),
-            "cl_u_sizes": np.asarray(
-                [c.size for c in self.cl_u.clusters], dtype=np.int64
-            ),
-            "cl_n_centers": self._vs_array(
-                c.center for c in self.cl_n.clusters
-            ),
-            "cl_n_sizes": np.asarray(
-                [c.size for c in self.cl_n.clusters], dtype=np.int64
-            ),
+            "cl_u_centers": self._vs_array(self.cl_u.centers),
+            "cl_u_sizes": self.cl_u.sizes.copy(),
+            "cl_n_centers": self._vs_array(self.cl_n.centers),
+            "cl_n_sizes": self.cl_n.sizes.copy(),
             "trace": np.asarray(self.trace, dtype=np.float64).reshape(
                 len(self.trace), 3
             ),
@@ -299,15 +291,8 @@ class FuzzSchedule:
                 state["seed_new"], state["seed_iter"],
             )
         ]
-        for cl, centers_key, sizes_key in (
-            (self.cl_u, "cl_u_centers", "cl_u_sizes"),
-            (self.cl_n, "cl_n_centers", "cl_n_sizes"),
-        ):
-            cl.clusters = [
-                Cluster(center=np.asarray(c, dtype=np.float64), size=int(s),
-                        useful=cl.useful)
-                for c, s in zip(state[centers_key], state[sizes_key])
-            ]
+        self.cl_u.load(state["cl_u_centers"], state["cl_u_sizes"])
+        self.cl_n.load(state["cl_n_centers"], state["cl_n_sizes"])
         self.trace = [
             (int(r[0]), float(r[1]), int(r[2])) for r in state["trace"]
         ]

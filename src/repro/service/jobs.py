@@ -57,6 +57,9 @@ STATES = (QUEUED, LEASED, RUNNING, DONE, PARTIAL, DEAD, CANCELLED)
 #: States from which no further transition is possible.
 TERMINAL_STATES = (DONE, PARTIAL, DEAD, CANCELLED)
 
+#: Upper bound on the requested shard count (spec validation).
+MAX_SHARDS = 64
+
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -142,9 +145,9 @@ class JobSpec:
             raise JobRejectedError(
                 f"deadline_s must be > 0, got {self.deadline_s}"
             )
-        if not 0 <= self.shards <= 64:
+        if not 0 <= self.shards <= MAX_SHARDS:
             raise JobRejectedError(
-                f"shards must be in [0, 64], got {self.shards}"
+                f"shards must be in [0, {MAX_SHARDS}], got {self.shards}"
             )
 
     # -- content addressing -------------------------------------------------

@@ -52,9 +52,6 @@ from repro.workloads import get_program
 #: shards the submitter asked for.
 DEFAULT_SLICES = 16
 
-#: Upper bound on the requested shard count (spec validation).
-MAX_SHARDS = 64
-
 
 @dataclass(frozen=True)
 class ShardSlice:

@@ -68,12 +68,14 @@ class Program(abc.ABC):
 
     def __init__(self):
         self._gt_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._space_cache: Dict[Tuple[int, ...], ParameterSpace] = {}
 
     # -- interface ----------------------------------------------------------
 
     @abc.abstractmethod
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        """Theta for a given data array shape."""
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
+        """Theta for a given (checked) data array shape."""
 
     @abc.abstractmethod
     def access_indices(self, v: Sequence[float], dims: Sequence[int]
@@ -101,9 +103,32 @@ class Program(abc.ABC):
             raise ProgramError(f"{self.name}: dims {dims} too small (< 8)")
         return dims
 
+    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
+        """Theta for a given data array shape (built once per shape)."""
+        dims = self.check_dims(dims)
+        space = self._space_cache.get(dims)
+        if space is None:
+            space = self._build_parameter_space(dims)
+            self._space_cache[dims] = space
+        return space
+
     def access_flat(self, v: Sequence[float], dims: Sequence[int]
                     ) -> np.ndarray:
-        """Flat-offset form of :meth:`access_indices` (fuzzer interface)."""
+        """Flat-offset form of :meth:`access_indices` (fuzzer interface).
+
+        int64 flat offsets of ``I_v``; empty for a non-useful ``v``.  This
+        is the one entry point of every direct-mode debloat test, so a
+        wrapper installed on ``Program.access_flat`` sees every call;
+        programs change how the offsets are computed by overriding
+        :meth:`_access_flat`, never this method.
+        """
+        return self._access_flat(v, dims)
+
+    def _access_flat(self, v: Sequence[float], dims: Sequence[int]
+                     ) -> np.ndarray:
+        """Hook behind :meth:`access_flat`: ``flatten_many`` of
+        :meth:`access_indices`.  Override to compute the offsets directly;
+        the result must stay equal to this default."""
         idx = self.access_indices(v, dims)
         if idx.size == 0:
             return np.empty(0, dtype=np.int64)

@@ -55,8 +55,8 @@ class AtmosphericRiver(Program):
         # Paper Theta_h = 100-500 of 2304.
         return max(2, dims[1] // 23), max(3, (2 * dims[1]) // 9)
 
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        dims = self.check_dims(dims)
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
         # Theta_t is the paper's full 0-4095 temporal range, independent of
         # the (scaled) array extent — the redundancy is the point.
         return ParameterSpace.of(
@@ -111,8 +111,8 @@ class MassSpectroscopy(Program):
         hi = int(dims[2] * 0.225)
         return lo, min(hi, dims[2] - self.window)
 
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        dims = self.check_dims(dims)
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
         return ParameterSpace.of(
             self._s_range(dims), (0, dims[0] - 1), (0, dims[1] - 1),
             integer=True,

@@ -15,10 +15,11 @@ program", which is why Kondo's precision on them is 1 across all runs
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arraymodel.layout import row_major_strides, sorted_unique
 from repro.fuzzing.parameters import ParameterSpace
 from repro.perf.bitmap import unique_lattice_points
 from repro.workloads.base import Program
@@ -31,6 +32,20 @@ def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
         return np.empty((0, len(axes)), dtype=np.int64)
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grid], axis=1)
+
+
+def _box_flat(lo: Sequence[int], hi: Sequence[int],
+              dims: Sequence[int]) -> np.ndarray:
+    """Flat offsets of the in-bounds box [lo, hi), ascending.
+
+    One strided ``arange`` per axis, broadcast-added: the flat form of
+    :func:`_box_cells` without building its ``(n, d)`` rows.
+    """
+    flat = np.zeros((), dtype=np.int64)
+    for a, b, stride in zip(lo, hi, row_major_strides(dims)):
+        flat = flat[..., None] + np.arange(a * stride, b * stride, stride,
+                                           dtype=np.int64)
+    return flat.reshape(-1)
 
 
 class PeripheralRing(Program):
@@ -61,8 +76,8 @@ class PeripheralRing(Program):
             return [(d // 4, (3 * d) // 8) for d in dims]
         return [(d // 8, (3 * d) // 8) for d in dims]
 
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        dims = self.check_dims(dims)
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
         return ParameterSpace.of(
             *[(0, d // 2 - 1) for d in dims], integer=True
         )
@@ -74,17 +89,19 @@ class PeripheralRing(Program):
         band = self._valid_band(dims)
         return all(lo <= x <= hi for x, (lo, hi) in zip(v, band))
 
-    def access_indices(self, v: Sequence[float], dims: Sequence[int]
-                       ) -> np.ndarray:
-        dims = self.check_dims(dims)
-        space = self.parameter_space(dims)
-        if not space.contains(tuple(v)):
-            return np.empty((0, self.ndim), dtype=np.int64)
+    def _half_extents(self, v: Sequence[float], dims: Tuple[int, ...]
+                      ) -> Optional[Tuple[int, ...]]:
+        """The run's half-extents, or ``None`` when ``v`` is not useful."""
+        if not self.parameter_space(dims).contains(tuple(v)):
+            return None
         half = tuple(int(x) for x in v)
-        if not self.valid_step(half, dims):
-            return np.empty((0, self.ndim), dtype=np.int64)
+        return half if self.valid_step(half, dims) else None
+
+    def _faces(self, half: Tuple[int, ...], dims: Tuple[int, ...]
+               ) -> List[Tuple[List[int], List[int]]]:
+        """The ``2 * ndim`` faces of the run's box, as [lo, hi) boxes."""
         c = self._center(dims)
-        parts = []
+        faces = []
         # One pair of faces per axis: coordinate pinned to c +/- w, the
         # remaining axes spanning their full [-w, +w] band.
         for axis in range(self.ndim):
@@ -93,13 +110,35 @@ class PeripheralRing(Program):
                 hi = [c[k] + half[k] + 1 for k in range(self.ndim)]
                 pinned = c[axis] + sign * half[axis]
                 lo[axis], hi[axis] = pinned, pinned + 1
-                parts.append(_box_cells(lo, hi))
-        cells = np.concatenate(parts, axis=0)
+                faces.append((lo, hi))
+        return faces
+
+    def _access_flat(self, v: Sequence[float], dims: Sequence[int]
+                     ) -> np.ndarray:
+        # A valid box lies inside the array: c + w <= D/2 + 3D/8 < D.
+        dims = self.check_dims(dims)
+        half = self._half_extents(v, dims)
+        if half is None:
+            return np.empty(0, dtype=np.int64)
+        return sorted_unique(np.concatenate(
+            [_box_flat(lo, hi, dims) for lo, hi in self._faces(half, dims)]
+        ))
+
+    def access_indices(self, v: Sequence[float], dims: Sequence[int]
+                       ) -> np.ndarray:
+        dims = self.check_dims(dims)
+        half = self._half_extents(v, dims)
+        if half is None:
+            return np.empty((0, self.ndim), dtype=np.int64)
+        cells = np.concatenate(
+            [_box_cells(lo, hi) for lo, hi in self._faces(half, dims)],
+            axis=0,
+        )
         dims_arr = np.asarray(dims, dtype=np.int64)
         keep = ((cells >= 0) & (cells < dims_arr)).all(axis=1)
-        # Hot path of every debloat test: flat-key dedup instead of the
-        # void-dtype lexicographic sort of ``np.unique(..., axis=0)``
-        # (bit-identical output, ~10x cheaper on dense 3-D shapes).
+        # Flat-key dedup instead of the void-dtype lexicographic sort of
+        # ``np.unique(..., axis=0)`` (bit-identical output, ~10x cheaper
+        # on dense 3-D shapes).
         return unique_lattice_points(cells[keep], dims)
 
     def ground_truth_mask(self, dims: Sequence[int]) -> np.ndarray:
@@ -165,8 +204,8 @@ class CornerBlocks(Program):
         win_b = [first_low] + high[1:]
         return [win_a, win_b]
 
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        dims = self.check_dims(dims)
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
         return ParameterSpace.of(
             *[(0, d - 1) for d in dims], integer=True
         )
@@ -177,19 +216,33 @@ class CornerBlocks(Program):
                 return w
         return -1
 
+    def _block_box(self, v: Sequence[float], dims: Tuple[int, ...]
+                   ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """The run's block as a [lo, hi) box, or ``None`` when ``v`` is
+        not useful."""
+        if not self.parameter_space(dims).contains(tuple(v)):
+            return None
+        anchor = tuple(int(x) for x in v)
+        if self._window_of(anchor, dims) < 0:
+            return None
+        b = self._block(dims)
+        return anchor, tuple(min(a + b, d) for a, d in zip(anchor, dims))
+
+    def _access_flat(self, v: Sequence[float], dims: Sequence[int]
+                     ) -> np.ndarray:
+        dims = self.check_dims(dims)
+        box = self._block_box(v, dims)
+        if box is None:
+            return np.empty(0, dtype=np.int64)
+        return _box_flat(*box, dims)
+
     def access_indices(self, v: Sequence[float], dims: Sequence[int]
                        ) -> np.ndarray:
         dims = self.check_dims(dims)
-        space = self.parameter_space(dims)
-        if not space.contains(tuple(v)):
+        box = self._block_box(v, dims)
+        if box is None:
             return np.empty((0, self.ndim), dtype=np.int64)
-        anchor = tuple(int(x) for x in v)
-        if self._window_of(anchor, dims) < 0:
-            return np.empty((0, self.ndim), dtype=np.int64)
-        b = self._block(dims)
-        lo = anchor
-        hi = tuple(min(a + b, d) for a, d in zip(anchor, dims))
-        return _box_cells(lo, hi)
+        return _box_cells(*box)
 
     def ground_truth_mask(self, dims: Sequence[int]) -> np.ndarray:
         dims = self.check_dims(dims)

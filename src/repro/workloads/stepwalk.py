@@ -81,8 +81,8 @@ class StepWalkProgram(Program):
 
     # -- program interface ---------------------------------------------------
 
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        dims = self.check_dims(dims)
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
         return ParameterSpace.of(
             *[(0, d - 2) for d in dims], integer=True
         )

@@ -74,8 +74,8 @@ class VPICThreshold(Program):
             self._field_cache[dims] = f
         return f
 
-    def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
-        self.check_dims(dims)
+    def _build_parameter_space(self, dims: Tuple[int, ...]
+                               ) -> ParameterSpace:
         return ParameterSpace.of((_T_LO, _T_HI), integer=True)
 
     def access_indices(self, v: Sequence[float], dims: Sequence[int]

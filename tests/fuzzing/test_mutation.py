@@ -85,3 +85,27 @@ class TestGreedy:
         target = Cluster(center=np.array([0.0, 127.0]), useful=False)
         for child in greedy_mutations(v, space, target, 178.0, (30, 50), 20, rng):
             assert space.contains(child)
+
+
+class TestSignDraw:
+    """``uniform_mutations`` draws signs by indexing ``_SIGNS`` with
+    ``rng.integers``: the same values and generator state as the
+    ``rng.choice((-1.0, 1.0), size)`` it replaced, on every numpy line
+    the project supports."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+    def test_same_values_and_state_as_choice(self, seed, size):
+        from repro.fuzzing.mutation import _SIGNS
+
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        for _ in range(5):
+            want = a.choice((-1.0, 1.0), size=(size,))
+            got = _SIGNS[b.integers(0, 2, size=(size,))]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            # Interleave another draw, as the mutation loop does.
+            assert a.uniform(5, 15, size=size).tobytes() \
+                == b.uniform(5, 15, size=size).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state

@@ -105,3 +105,78 @@ class TestSeed:
         seed.useful = True
         assert seed.evaluated
         assert seed.key() == (1.0, 2.0)
+
+
+def _scalar_clip(space, v):
+    """The per-range reference: ``ParameterRange.clip`` on each value."""
+    return tuple(r.clip(x) for r, x in zip(space.ranges, v))
+
+
+def _bits(values):
+    """Exact float bits, so ``-0.0`` and ``0.0`` differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+MIXED = ParameterSpace((
+    ParameterRange(0, 10),
+    ParameterRange(-3, 3),
+    ParameterRange(-2.5, 7.25, integer=False),
+    ParameterRange(0.0, 1.0, integer=False),
+))
+
+
+class TestVectorClip:
+    """``clip``/``clip_rows`` are array-shaped; they must equal the
+    scalar per-range clip float for float, signed zeros included."""
+
+    @pytest.mark.parametrize("x", [0.5, 1.5, 2.5, 3.5, -0.5, -1.5, -2.5,
+                                   9.5, 4.4999999, 4.5000001])
+    def test_half_ties_round_to_even(self, x):
+        space = ParameterSpace.of((-3, 10))
+        assert _bits(space.clip((x,))) == _bits(_scalar_clip(space, (x,)))
+
+    @pytest.mark.parametrize("x", [-1e9, -10.6, -3.0000001, 10.0000001,
+                                   10.6, 1e9, -np.inf, np.inf])
+    def test_out_of_range_both_sides(self, x):
+        space = ParameterSpace.of((-3, 10))
+        assert space.clip((x,)) == _scalar_clip(space, (x,))
+        real = ParameterSpace.of((-3, 10), integer=False)
+        assert _bits(real.clip((x,))) == _bits(_scalar_clip(real, (x,)))
+
+    def test_negative_fraction_rounds_to_positive_zero(self):
+        space = ParameterSpace.of((-3, 3))
+        (clipped,) = space.clip((-0.3,))
+        assert clipped == 0.0 and not np.signbit(clipped)
+        assert _bits(space.clip((-0.3,))) == _bits(_scalar_clip(space,
+                                                                (-0.3,)))
+
+    def test_real_range_keeps_signed_zero(self):
+        space = ParameterSpace.of((0.0, 1.0), integer=False)
+        assert _bits(space.clip((-0.0,))) == _bits(_scalar_clip(space,
+                                                                (-0.0,)))
+
+    @given(st.lists(
+        st.tuples(*[st.floats(-20, 20, allow_nan=False)] * MIXED.ndim),
+        min_size=0, max_size=12,
+    ))
+    @settings(max_examples=200)
+    def test_clip_rows_equals_scalar_clip_mixed_space(self, rows):
+        arr = np.asarray(rows, dtype=np.float64).reshape(len(rows),
+                                                         MIXED.ndim)
+        got = MIXED.clip_rows(arr)
+        want = [_scalar_clip(MIXED, row) for row in rows]
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        assert [_bits(MIXED.clip(row)) for row in rows] \
+            == [_bits(r) for r in want]
+        assert all(type(x) is float for r in got for x in r)
+
+    def test_clip_rows_rank_mismatch(self):
+        with pytest.raises(ProgramError):
+            MIXED.clip_rows(np.zeros((3, 2)))
+
+    def test_arrays_do_not_enter_equality(self):
+        a = ParameterSpace.of((0, 10), (0, 5))
+        b = ParameterSpace.of((0, 10), (0, 5))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a).count("lo=") == a.ndim  # the ranges' own fields
+        assert a.lo.tolist() == [0.0, 0.0] and a.hi.tolist() == [10.0, 5.0]

@@ -4,6 +4,7 @@ never crashed."""
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.config import NO_RESILIENCE, ResilienceConfig
 from repro.resilience.faults import CrashAt
 from repro.workloads import get_program
+from tests.oracles.fuzz_schedule import OracleSchedule
 
 DIMS = (16, 16)
 
@@ -161,6 +163,53 @@ class TestCrashResume:
         assert np.array_equal(resumed.flat_indices, reference.flat_indices)
         assert resumed.iterations == reference.iterations
         assert resumed.stop_reason == reference.stop_reason
+        assert resumed.final_eps == reference.final_eps
+        assert [s.v for s in resumed.seeds] == [s.v for s in reference.seeds]
+        assert ([s.useful for s in resumed.seeds]
+                == [s.useful for s in reference.seeds])
+
+    def test_resume_from_list_built_cluster_arrays(self, tmp_path):
+        """Checkpoint cluster arrays keep their on-disk layout: ``(k,
+        ndim)`` float64 centers and ``(k,)`` int64 sizes in founding
+        order.  Arrays built from the scalar reference's list of clusters,
+        as the list-backed cluster set wrote them, resume bit-identically.
+        """
+        seed, at = 2, 40
+        test, space, n_flat = _make_test()
+        path = str(tmp_path / "ckpt.npz")
+        config = _config(seed=seed, checkpoint_path=path,
+                         checkpoint_every=at)
+        with pytest.raises(InjectedFault):
+            FuzzSchedule(CrashAt(test, at + 3), space, config,
+                         n_flat).run()
+        state = load_campaign_state(path)
+        assert state["itr"] == at
+        oracle = OracleSchedule(
+            test, space,
+            replace(config, max_iter=at, resilience=NO_RESILIENCE), n_flat,
+        )
+        oracle.run()
+        assert len(oracle.cl_u) and len(oracle.cl_n)
+        for key, clusters in (("cl_u", oracle.cl_u.clusters),
+                              ("cl_n", oracle.cl_n.clusters)):
+            centers = np.asarray(
+                [list(c.center) for c in clusters], dtype=np.float64
+            ).reshape(len(clusters), space.ndim)
+            sizes = np.asarray([c.size for c in clusters], dtype=np.int64)
+            for name, legacy in (("centers", centers), ("sizes", sizes)):
+                written = state[f"{key}_{name}"]
+                assert written.dtype == legacy.dtype
+                assert written.shape == legacy.shape
+                assert written.tobytes() == legacy.tobytes()
+            state[f"{key}_centers"], state[f"{key}_sizes"] = centers, sizes
+        legacy_path = str(tmp_path / "legacy.npz")
+        save_campaign_state(legacy_path, state)
+        resumed = FuzzSchedule.from_checkpoint(
+            test, space, config, n_flat, legacy_path
+        ).run()
+        reference = self._reference(seed)
+        assert np.array_equal(resumed.flat_indices, reference.flat_indices)
+        assert resumed.iterations == reference.iterations
         assert resumed.final_eps == reference.final_eps
         assert [s.v for s in resumed.seeds] == [s.v for s in reference.seeds]
         assert ([s.useful for s in resumed.seeds]

@@ -107,6 +107,16 @@ class TestShardPlanner:
         with pytest.raises(JobRejectedError, match="shards"):
             JobSpec(program="CS", dims=DIMS, shards=65)
 
+    def test_max_shards_is_the_one_bound(self):
+        from repro.errors import JobRejectedError
+        from repro.service.jobs import MAX_SHARDS
+
+        assert JobSpec(program="CS", dims=DIMS,
+                       shards=MAX_SHARDS).shards == MAX_SHARDS
+        with pytest.raises(JobRejectedError,
+                           match=rf"\[0, {MAX_SHARDS}\]"):
+            JobSpec(program="CS", dims=DIMS, shards=MAX_SHARDS + 1)
+
 
 class TestRunCodec:
     @settings(max_examples=50, deadline=None)
