@@ -20,10 +20,10 @@ Subsystem map (see DESIGN.md):
 * :mod:`repro.core` — the Kondo pipeline (Figure 3) and debloat test.
 * :mod:`repro.fuzzing` — Algorithm 1 schedules, mutation, clusters.
 * :mod:`repro.carving` — Algorithm 2 cell split + hull merging.
-* :mod:`repro.geometry` — convex hulls (own 2-D, Qhull for rank >= 3) and
-  rasters.
-* :mod:`repro.audit` — fine-grained I/O lineage (events, interval B-trees,
-  interposition, strace ingestion).
+* :mod:`repro.geometry` — convex hulls (Qhull for every full rank >= 2)
+  and rasters.
+* :mod:`repro.audit` — fine-grained I/O lineage (events, block capture
+  into flat interval stores, interposition, strace ingestion).
 * :mod:`repro.arraymodel` — KND/KNDS array file formats and layouts.
 * :mod:`repro.workloads` — the Table II benchmark programs and Table III
   real-application programs.

@@ -7,8 +7,8 @@ centroids, boundary distances, and can merge with neighbors.  ``Hull``
 handles every rank:
 
 * rank 0 — a point,
-* rank = d — a full-dimensional hull (own monotone chain for rank 2,
-  Qhull for every rank >= 3),
+* rank = d — a full-dimensional hull (closed form for rank 1, Qhull for
+  every rank >= 2),
 * 0 < rank < d — points projected into their affine subspace, hulled there,
   with containment requiring membership of the subspace too.
 """
@@ -22,7 +22,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.hull2d import monotone_chain, polygon_area, polygon_halfspaces
 from repro.geometry.hullnd import qhull_hull
 from repro.geometry.primitives import (
     affine_basis,
@@ -46,13 +45,10 @@ class Hull:
     Attributes:
         vertices: ``(m, ndim)`` hull vertex coordinates.
         rank: affine rank of the hull (0 = point, ndim = full).
-        n_points: how many input points this hull was built from (merged
-            hulls accumulate counts; used for diagnostics only).
     """
 
     vertices: np.ndarray
     rank: int
-    n_points: int
     # Full-rank halfspace form (in subspace coordinates when rank < ndim).
     _normals: np.ndarray = field(repr=False)
     _offsets: np.ndarray = field(repr=False)
@@ -66,11 +62,10 @@ class Hull:
     def from_points(cls, points) -> "Hull":
         """Build the convex hull of a point cloud, at whatever rank it has."""
         pts = dedupe_points(as_points(points))
-        n, d = pts.shape
         origin, basis, rank = affine_basis(pts)
         if rank == 0:
             return cls(
-                vertices=pts[:1].copy(), rank=0, n_points=n,
+                vertices=pts[:1].copy(), rank=0,
                 _normals=np.empty((0, 0)), _offsets=np.empty(0),
                 _origin=origin, _basis=basis, _volume=0.0,
             )
@@ -79,7 +74,7 @@ class Hull:
         # Lift subspace vertices back to ambient coordinates.
         vertices = origin + verts_sub @ basis
         return cls(
-            vertices=vertices, rank=rank, n_points=n,
+            vertices=vertices, rank=rank,
             _normals=normals, _offsets=offsets,
             _origin=origin, _basis=basis, _volume=volume,
         )
@@ -96,12 +91,6 @@ class Hull:
             offsets = np.array([-lo, hi])
             return verts, normals, offsets, hi - lo
         try:
-            if r == 2:
-                verts = monotone_chain(coords)
-                if verts.shape[0] < 3:
-                    raise GeometryError("rank-2 subspace produced a flat hull")
-                normals, offsets = polygon_halfspaces(verts)
-                return verts, normals, offsets, polygon_area(verts)
             return qhull_hull(coords)
         except GeometryError:
             # Numerically marginal rank (affine_basis said full rank, the
@@ -208,12 +197,7 @@ class Hull:
             raise GeometryError(
                 f"cannot merge hulls of dimension {self.ndim} and {other.ndim}"
             )
-        merged = Hull.from_points(
-            np.vstack([self.vertices, other.vertices])
-        )
-        object.__setattr__(merged, "n_points",
-                           self.n_points + other.n_points)
-        return merged
+        return Hull.from_points(np.vstack([self.vertices, other.vertices]))
 
     def __hash__(self) -> int:
         return hash((self.vertices.tobytes(), self.rank))

@@ -1,8 +1,8 @@
-"""Convex hulls of rank >= 3 via Qhull.
+"""Full-rank convex hulls of rank >= 2 via Qhull.
 
-Rank-2 hulls use the from-scratch monotone chain
-(:mod:`~repro.geometry.hull2d`); every higher rank — the paper's 3-D
-programs included — delegates to scipy's Qhull bindings behind the same
+Every full-rank hull the :class:`~repro.geometry.hull.Hull` facade builds
+above rank 1 — the 2-D programs' cells, the faces of 3-D cells, the 3-D
+programs' volumes — goes through scipy's Qhull bindings behind one
 (vertices, halfspaces, volume) interface.
 """
 
@@ -11,33 +11,34 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from repro.errors import GeometryError
 from repro.geometry.primitives import as_points, dedupe_points
 
-try:  # scipy is a declared dependency; guard anyway for partial installs.
-    from scipy.spatial import ConvexHull as _QhullHull
-    from scipy.spatial import QhullError as _QhullError
-except ImportError:  # pragma: no cover - scipy is installed in this env
-    _QhullHull = None
-    _QhullError = Exception
-
 
 def qhull_hull(points: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Full-rank hull in any dimension.
+    """Full-rank hull in any dimension >= 2.
 
     Returns ``(vertices, normals, offsets, volume)`` with outward unit
     normals such that interior points satisfy ``normals @ x <= offsets``.
+    2-D vertices run counter-clockwise from the lexicographically
+    smallest one; higher-rank vertices keep the (lexicographic) row order
+    of the deduplicated input.
     """
-    if _QhullHull is None:  # pragma: no cover
-        raise GeometryError("scipy unavailable; rank >= 3 hulls unsupported")
     pts = dedupe_points(as_points(points))
     try:
-        hull = _QhullHull(pts)
-    except _QhullError as exc:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
         raise GeometryError(f"Qhull failed (degenerate input?): {exc}") from exc
-    vertices = pts[hull.vertices]
+    index = hull.vertices
+    if pts.shape[1] == 2:
+        # Qhull lists 2-D vertices counter-clockwise from an arbitrary
+        # one; the rows are sorted, so the smallest index is the
+        # lexicographic minimum.
+        index = np.roll(index, -int(index.argmin()))
+    vertices = pts[index]
     eqs = hull.equations  # rows: [normal..., offset], normal @ x + offset <= 0
     normals = eqs[:, :-1]
     offsets = -eqs[:, -1]

@@ -1,8 +1,9 @@
-"""Geometric primitives shared by the hull implementations.
+"""Geometric primitives behind the ``Hull`` facade and the Qhull wrapper.
 
-Points are numpy float64 arrays of shape ``(n, d)``.  All predicates take a
+Points are numpy float64 arrays of shape ``(n, d)``.  Rank tests take a
 relative tolerance because hull inputs are integer array indices scaled by
-fuzzing — exact arithmetic is unnecessary, but sign tests must be stable.
+fuzzing — exact arithmetic is unnecessary, but rank decisions must be
+stable.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import numpy as np
 
 from repro.arraymodel.layout import sorted_unique
 from repro.errors import GeometryError
-
-#: Default absolute tolerance for containment / orientation predicates.
-EPS = 1e-9
 
 
 def as_points(points, ndim: int = None) -> np.ndarray:
@@ -121,11 +119,6 @@ def subspace_residual(points: np.ndarray, origin: np.ndarray,
         return np.linalg.norm(centered, axis=1)
     proj = (centered @ basis.T) @ basis
     return np.linalg.norm(centered - proj, axis=1)
-
-
-def cross2(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """2-D cross product (o->a) x (o->b); positive = left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def min_pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:

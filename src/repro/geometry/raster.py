@@ -251,7 +251,7 @@ def flat_indices_in_hulls(
     dims = tuple(int(d) for d in dims)
     n_flat = int(np.prod(dims))
     strides = np.asarray(row_major_strides(dims), dtype=np.int64)
-    acc = make_accumulator(n_flat, dims=dims)
+    acc = make_accumulator(n_flat)
     done: List[Tuple[Hull, np.ndarray, np.ndarray]] = []
     for hull in hulls:
         bounds = _lattice_bounds(hull, dims, pad=tol)

@@ -22,7 +22,7 @@ sorted-key accumulator reads out through.  Offsets outside
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,44 +173,20 @@ class FlatBitmap:
         return np.flatnonzero(self._bits).astype(np.int64)
 
 
-def box_flat_indices(lo: Sequence[int], hi: Sequence[int],
-                     strides: np.ndarray) -> np.ndarray:
-    """Flat offsets of every lattice point in the closed box ``[lo, hi]``.
-
-    Built by progressive broadcasting, so the result is already in
-    ascending (row-major) order.
-    """
-    out = np.zeros(1, dtype=np.int64)
-    for k in range(len(strides)):
-        axis = np.arange(int(lo[k]), int(hi[k]) + 1, dtype=np.int64)
-        out = (out[:, None] + (axis * strides[k])[None, :]).reshape(-1)
-    return out
-
-
 def make_accumulator(
     n_flat: int,
     max_cells: int = DEFAULT_BITMAP_MAX_CELLS,
-    dims: Optional[Sequence[int]] = None,
 ) -> "FlatAccumulator":
-    """Pick the dense-bitmap or sorted-key accumulator for a space size.
-
-    Passing ``dims`` enables :meth:`FlatAccumulator.add_box`, which sets a
-    whole axis-aligned lattice box at once (an nd-slice assignment on the
-    dense bitmap — no per-point work at all).
-    """
+    """Pick the dense-bitmap or sorted-key accumulator for a space size."""
     if n_flat <= max_cells:
-        return _BitmapAccumulator(n_flat, dims)
-    return _KeyAccumulator(dims)
+        return _BitmapAccumulator(n_flat)
+    return _KeyAccumulator()
 
 
 class FlatAccumulator:
     """Accumulates flat offsets; yields them sorted-unique at the end."""
 
     def add(self, flat: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def add_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
-        """Add every lattice point of the closed box ``[lo, hi]``."""
         raise NotImplementedError
 
     def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
@@ -222,18 +198,11 @@ class FlatAccumulator:
 
 
 class _BitmapAccumulator(FlatAccumulator):
-    def __init__(self, n_flat: int, dims: Optional[Sequence[int]] = None):
+    def __init__(self, n_flat: int):
         self._bitmap = FlatBitmap(n_flat)
-        self._dims = tuple(int(d) for d in dims) if dims is not None else None
 
     def add(self, flat: np.ndarray) -> None:
         self._bitmap.add(flat)
-
-    def add_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
-        if self._dims is None:
-            raise ValueError("add_box requires dims")
-        view = self._bitmap._bits.reshape(self._dims)
-        view[tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))] = True
 
     def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
         self._bitmap.add_spans(starts, ends)
@@ -243,21 +212,12 @@ class _BitmapAccumulator(FlatAccumulator):
 
 
 class _KeyAccumulator(FlatAccumulator):
-    def __init__(self, dims: Optional[Sequence[int]] = None):
+    def __init__(self):
         self._parts = []
-        self._strides = (
-            np.asarray(row_major_strides(dims), dtype=np.int64)
-            if dims is not None else None
-        )
 
     def add(self, flat: np.ndarray) -> None:
         if flat.size:
             self._parts.append(np.asarray(flat, dtype=np.int64))
-
-    def add_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
-        if self._strides is None:
-            raise ValueError("add_box requires dims")
-        self._parts.append(box_flat_indices(lo, hi, self._strides))
 
     def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
         starts = np.asarray(starts, dtype=np.int64)

@@ -14,6 +14,31 @@ points_2d = st.lists(
 ).map(lambda pts: np.asarray(pts, dtype=float))
 
 
+@st.composite
+def coplanar_rectangles(draw):
+    """Two integer rectangles side by side in an axis-aligned plane of 3-D.
+
+    Both span the same interval along one in-plane axis, like two cells
+    of one face, so the merged hull has collinear points on two edges.
+    """
+    axis = draw(st.integers(0, 2))
+    level = draw(st.integers(0, 200))
+    free = [k for k in range(3) if k != axis]
+    shared = draw(st.integers(0, 1))
+    span = draw(st.tuples(st.integers(0, 40), st.integers(1, 40)))
+    rects = []
+    for _ in range(2):
+        lo = [draw(st.integers(0, 40)) for _ in free]
+        hi = [a + draw(st.integers(1, 40)) for a in lo]
+        lo[shared], hi[shared] = span[0], span[0] + span[1]
+        corners = np.full((4, 3), float(level))
+        for row, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            corners[row, free[0]] = (lo[0], hi[0])[i]
+            corners[row, free[1]] = (lo[1], hi[1])[j]
+        rects.append(corners)
+    return rects
+
+
 class TestConstruction:
     def test_point_hull(self):
         h = Hull.from_points([[5.0, 7.0]])
@@ -98,7 +123,28 @@ class TestMerge:
         assert m.contains_point((1, 1))
         assert m.contains_point((5, 5))
         assert m.contains_point((3, 3))  # sandwiched space now included
-        assert m.n_points == a.n_points + b.n_points
+
+    def test_lifted_rank2_corners_kept(self):
+        # Two merged rectangles in the plane x = 168 as a PRL3D 192^3
+        # run hands them over: the affine lift leaves last-bit noise.
+        pts = np.array([
+            [168.0, 48.0, 71.0], [168.0, 48.00000000000001, 27.000000000000004],
+            [168.0, 71.0, 27.0], [168.0, 71.0, 71.0],
+            [168.0, 95.0, 71.0], [168.0, 95.0, 26.999999999999993],
+            [168.0, 72.0, 26.999999999999993], [168.0, 72.0, 71.00000000000001],
+        ])
+        h = Hull.from_points(pts)
+        assert h.rank == 2
+        assert h.volume == pytest.approx(2068.0)
+        assert h.contains(pts).all()
+
+    @given(coplanar_rectangles())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_of_coplanar_rectangles_keeps_vertices(self, rects):
+        a, b = (Hull.from_points(r) for r in rects)
+        m = a.merge(b)
+        assert m.contains(a.vertices).all()
+        assert m.contains(b.vertices).all()
 
     def test_merge_point_into_polygon(self):
         a = Hull.from_points([[0, 0], [2, 0], [2, 2], [0, 2]])

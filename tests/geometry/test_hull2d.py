@@ -1,12 +1,21 @@
-"""Unit + property tests for the 2-D monotone-chain hull."""
+"""Unit + property tests for the from-scratch 2-D monotone-chain hull.
+
+The chain is a test oracle (:mod:`tests.oracles.hull2d`); production
+hulls every full rank >= 2 with Qhull.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import monotone_chain, polygon_area, polygon_halfspaces
 from repro.errors import GeometryError
+from tests.oracles.hull2d import (
+    cross2,
+    monotone_chain,
+    polygon_area,
+    polygon_halfspaces,
+)
 
 points_2d = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
@@ -22,6 +31,17 @@ def is_ccw(verts):
         x2, y2 = verts[(i + 1) % n]
         total += (x2 - x1) * (y2 + y1)
     return total < 0
+
+
+class TestCross2:
+    def test_left_turn_positive(self):
+        assert cross2(np.array([0, 0]), np.array([1, 0]), np.array([1, 1])) > 0
+
+    def test_right_turn_negative(self):
+        assert cross2(np.array([0, 0]), np.array([1, 0]), np.array([1, -1])) < 0
+
+    def test_collinear_zero(self):
+        assert cross2(np.array([0, 0]), np.array([1, 1]), np.array([2, 2])) == 0
 
 
 class TestMonotoneChain:

