@@ -33,46 +33,43 @@ Subsystem map (see DESIGN.md):
 * :mod:`repro.container` — container specs, images, and debloated runtime.
 """
 
-from repro.arraymodel import (
-    ArrayFile,
-    ArraySchema,
-    DebloatedArrayFile,
-    KondoRuntime,
-)
-from repro.core import DebloatTest, Kondo, KondoResult
-from repro.errors import DataMissingError, KondoError
-from repro.fuzzing import CarveConfig, FuzzConfig, ParameterSpace
-from repro.metrics import accuracy, bloat_fraction, missed_valuations
-from repro.workloads import (
-    all_benchmarks,
-    default_dims,
-    get_program,
-    program_names,
-    real_applications,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Kondo",
-    "KondoResult",
-    "DebloatTest",
-    "FuzzConfig",
-    "CarveConfig",
-    "ParameterSpace",
-    "ArraySchema",
-    "ArrayFile",
-    "DebloatedArrayFile",
-    "KondoRuntime",
-    "KondoError",
-    "DataMissingError",
-    "get_program",
-    "program_names",
-    "default_dims",
-    "all_benchmarks",
-    "real_applications",
-    "accuracy",
-    "bloat_fraction",
-    "missed_valuations",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Importing ``repro`` loads
+#: none of them (so ``repro.analysis`` runs without numpy or scipy);
+#: each loads on first access (PEP 562).
+_EXPORTS = {
+    "Kondo": "repro.core",
+    "KondoResult": "repro.core",
+    "DebloatTest": "repro.core",
+    "FuzzConfig": "repro.fuzzing",
+    "CarveConfig": "repro.fuzzing",
+    "ParameterSpace": "repro.fuzzing",
+    "ArraySchema": "repro.arraymodel",
+    "ArrayFile": "repro.arraymodel",
+    "DebloatedArrayFile": "repro.arraymodel",
+    "KondoRuntime": "repro.arraymodel",
+    "KondoError": "repro.errors",
+    "DataMissingError": "repro.errors",
+    "get_program": "repro.workloads",
+    "program_names": "repro.workloads",
+    "default_dims": "repro.workloads",
+    "all_benchmarks": "repro.workloads",
+    "real_applications": "repro.workloads",
+    "accuracy": "repro.metrics",
+    "bloat_fraction": "repro.metrics",
+    "missed_valuations": "repro.metrics",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

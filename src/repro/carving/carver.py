@@ -1,10 +1,12 @@
 """The Carver: from fuzz-discovered index points to the carved subset.
 
 Combines SPLIT (per-cell hulls), the bottom-up merge (Algorithm 2), and
-rasterization back to integer indices.  The carved subset always includes
-every directly-observed index, so carving can only *add* (interior/
-sandwiched) indices on top of what fuzzing proved accessible — precision
-may drop, recall never does.
+rasterization back to integer indices.  It runs on sorted flat keys:
+the lattice reduction drops the keys that cannot be hull vertices, and
+only the survivors are unflattened into cell points.  The carved subset
+always includes every directly-observed index, so carving can only *add*
+(interior/sandwiched) indices on top of what fuzzing proved accessible —
+precision may drop, recall never does.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, unflatten_many
+from repro.arraymodel.layout import flatten_many, sorted_unique
 from repro.carving.cells import split_into_cells
 from repro.carving.merge import MergeStats, merge_hulls
-from repro.errors import GeometryError
+from repro.errors import GeometryError, LayoutError
 from repro.fuzzing.config import CarveConfig
 from repro.geometry.hull import Hull
 from repro.geometry.lattice import lattice_boundary_points
@@ -82,60 +84,57 @@ class Carver:
         self.dims = tuple(int(d) for d in dims)
         self.config = config if config is not None else CarveConfig()
 
-    def hull_set(self, points: np.ndarray) -> Tuple[List[Hull], MergeStats]:
-        """The hull set ``H`` of ``(n, d)`` points, with merge diagnostics."""
-        return merge_hulls(self.build_cell_hulls(points), self.config)
+    def hull_set(self, flat: np.ndarray) -> Tuple[List[Hull], MergeStats]:
+        """The hull set ``H`` of sorted flat keys, with merge diagnostics."""
+        return merge_hulls(self.build_cell_hulls(flat), self.config)
 
-    def build_cell_hulls(self, points: np.ndarray) -> List[Hull]:
-        """SPLIT the points into cells and hull each cell (Alg 2, l. 3-5).
+    def build_cell_hulls(self, flat: np.ndarray) -> List[Hull]:
+        """SPLIT sorted flat keys into cells and hull each cell (Alg 2,
+        l. 3-5).
 
-        Lattice-interior points of each cell are stripped first — they can
-        never be hull vertices, and dense 3-D cells shrink by an order of
-        magnitude.
+        Keys that cannot be hull vertices of their cell are dropped
+        first, so only the few survivors are unflattened to points.
         """
-        cells = split_into_cells(points, self.config.cell_size)
-        return [
-            Hull.from_points(lattice_boundary_points(cell_points))
-            for cell_points in cells.values()
-        ]
+        size = self.config.cell_size
+        cells = split_into_cells(
+            lattice_boundary_points(flat, self.dims, size), self.dims, size)
+        return [Hull.from_points(points) for points in cells.values()]
 
     def carve_points(self, points: np.ndarray) -> CarveResult:
-        """Carve from an ``(n, d)`` array of index points."""
-        start = time.perf_counter()
+        """Carve from an ``(n, d)`` array of index points, rounded and
+        clipped into the window (:func:`observed_flat_indices`)."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != len(self.dims):
             raise GeometryError(
                 f"expected (n, {len(self.dims)}) points, got {points.shape}"
             )
-        if points.shape[0] == 0:
-            return CarveResult(
-                hulls=[],
-                flat_indices=np.empty(0, dtype=np.int64),
-                merge_stats=MergeStats(0, 0, 0, 0),
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        hulls, stats = self.hull_set(points)
-        # Stay in flat-offset space end to end: hull rasterization and
-        # the union with the observed points both go through the bitmap,
-        # no (n, d) point stacking or re-sort.
-        flat = union_flat(
-            [flat_indices_in_hulls(hulls, self.dims,
-                                   tol=self.config.raster_tol),
-             observed_flat_indices(points, self.dims)],
-            int(np.prod(self.dims)),
-        )
-        return CarveResult(
-            hulls=hulls,
-            flat_indices=flat.astype(np.int64),
-            merge_stats=stats,
-            elapsed_seconds=time.perf_counter() - start,
-        )
+        return self.carve_flat(observed_flat_indices(points, self.dims))
 
     def carve_flat(self, flat_indices: np.ndarray) -> CarveResult:
         """Carve from flat offsets (the fuzz campaign's native output)."""
-        flat = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
+        start = time.perf_counter()
+        n_flat = int(np.prod(self.dims))
+        flat = sorted_unique(flat_indices)
+        if flat.size and (flat[0] < 0 or flat[-1] >= n_flat):
+            raise LayoutError("one or more flat indices out of bounds")
         if flat.size == 0:
-            return self.carve_points(np.empty((0, len(self.dims))))
-        return self.carve_points(
-            unflatten_many(flat, self.dims).astype(np.float64)
+            return CarveResult(
+                hulls=[],
+                flat_indices=flat,
+                merge_stats=MergeStats(0, 0, 0, 0),
+                elapsed_seconds=time.perf_counter() - start,
+            )
+        hulls, stats = self.hull_set(flat)
+        # Stay in flat-offset space end to end: hull rasterization and
+        # the union with the observed keys both go through the bitmap.
+        carved = union_flat(
+            [flat_indices_in_hulls(hulls, self.dims,
+                                   tol=self.config.raster_tol), flat],
+            n_flat,
+        )
+        return CarveResult(
+            hulls=hulls,
+            flat_indices=carved,
+            merge_stats=stats,
+            elapsed_seconds=time.perf_counter() - start,
         )

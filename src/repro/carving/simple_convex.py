@@ -9,6 +9,7 @@ is precisely what motivates Kondo's merge-based carver.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Tuple
 
 import numpy as np
@@ -16,16 +17,17 @@ import numpy as np
 from repro.carving.carver import Carver
 from repro.carving.merge import MergeStats
 from repro.geometry.hull import Hull
-from repro.geometry.lattice import lattice_boundary_points
 
 
 class SimpleConvexCarver(Carver):
     """One global hull over all points — the paper's SC baseline.
 
-    Rasterizes and unions with the observed points exactly like
-    :class:`Carver`; only the hull set differs.
+    Reduces, rasterizes and unions with the observed points exactly like
+    :class:`Carver`, with the whole window as its one cell; only the
+    hull set differs.
     """
 
-    def hull_set(self, points: np.ndarray) -> Tuple[List[Hull], MergeStats]:
-        hull = Hull.from_points(lattice_boundary_points(points))
-        return [hull], MergeStats(1, 1, 0, 0)
+    def hull_set(self, flat: np.ndarray) -> Tuple[List[Hull], MergeStats]:
+        window = replace(self.config, cell_size=max(self.dims))
+        hulls = Carver(self.dims, window).build_cell_hulls(flat)
+        return hulls, MergeStats(1, 1, 0, 0)

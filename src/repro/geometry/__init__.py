@@ -1,9 +1,10 @@
 """Computational-geometry substrate for the carver.
 
 Qhull for every full-rank hull of rank >= 2, a rank-aware
-:class:`~repro.geometry.hull.Hull` facade implementing the paper's
-center/boundary distances and vertex-union merge, and lattice
-rasterization back to array indices.
+:class:`~repro.geometry.hull.Hull` facade in canonical form (vertices
+are sorted input rows) implementing the paper's center/boundary
+distances and vertex-union merge, the flat-key lattice reduction that
+feeds it, and lattice rasterization back to array indices.
 """
 
 from repro.geometry.hull import DEFAULT_TOL, Hull

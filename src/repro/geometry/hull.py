@@ -7,14 +7,18 @@ centroids, boundary distances, and can merge with neighbors.  ``Hull``
 handles every rank:
 
 * rank 0 — a point,
-* rank = d — a full-dimensional hull (closed form for rank 1, Qhull for
-  every rank >= 2),
+* rank = d — a full-dimensional hull in ambient coordinates (closed form
+  for rank 1, Qhull for every rank >= 2),
 * 0 < rank < d — points projected into their affine subspace, hulled there,
   with containment requiring membership of the subspace too.
+
+Every hull is canonical: its vertices are input rows in lexicographic
+order, so two hulls of the same point set compare, hash and merge alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Tuple
@@ -22,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.hullnd import qhull_hull
+from repro.geometry.hullnd import qhull_index
 from repro.geometry.primitives import (
     affine_basis,
     as_points,
@@ -60,8 +64,13 @@ class Hull:
 
     @classmethod
     def from_points(cls, points) -> "Hull":
-        """Build the convex hull of a point cloud, at whatever rank it has."""
-        pts = dedupe_points(as_points(points))
+        """Build the convex hull of a point cloud, at whatever rank it has.
+
+        The vertices are input rows (only the bounding-box fallback makes
+        new ones) in lexicographic order, so the result does not depend
+        on which superset of them was given, or in which order.
+        """
+        pts = dedupe_points(as_points(points))  # sorted rows
         origin, basis, rank = affine_basis(pts)
         if rank == 0:
             return cls(
@@ -69,10 +78,20 @@ class Hull:
                 _normals=np.empty((0, 0)), _offsets=np.empty(0),
                 _origin=origin, _basis=basis, _volume=0.0,
             )
-        coords = project_to_subspace(pts, origin, basis)  # (n, rank)
-        verts_sub, normals, offsets, volume = cls._full_rank_hull(coords)
-        # Lift subspace vertices back to ambient coordinates.
-        vertices = origin + verts_sub @ basis
+        if rank == pts.shape[1]:
+            # Full rank: hull in ambient coordinates, with no lift.
+            origin, basis, coords = np.zeros(rank), np.eye(rank), pts
+        else:
+            coords = project_to_subspace(pts, origin, basis)  # (n, rank)
+        try:
+            index, normals, offsets, volume = cls._full_rank_hull(coords)
+            vertices = pts[np.sort(index)]
+        except GeometryError:
+            # Numerically marginal rank (affine_basis said full rank, the
+            # hull code disagreed): fall back to the conservative axis-
+            # aligned bounding box, which over- rather than under-covers.
+            corners, normals, offsets, volume = cls._bbox_hull(coords)
+            vertices = dedupe_points(origin + corners @ basis)
         return cls(
             vertices=vertices, rank=rank,
             _normals=normals, _offsets=offsets,
@@ -82,37 +101,27 @@ class Hull:
     @staticmethod
     def _full_rank_hull(coords: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Hull of full-rank ``coords``; returns (verts, A, b, volume)."""
-        r = coords.shape[1]
-        if r == 1:
-            lo, hi = float(coords.min()), float(coords.max())
-            verts = np.array([[lo], [hi]])
+        """Hull of full-rank ``coords``; returns (vertex rows, A, b, volume)."""
+        if coords.shape[1] == 1:
+            lo, hi = int(coords.argmin()), int(coords.argmax())
+            a, b = float(coords[lo, 0]), float(coords[hi, 0])
             normals = np.array([[-1.0], [1.0]])
-            offsets = np.array([-lo, hi])
-            return verts, normals, offsets, hi - lo
-        try:
-            return qhull_hull(coords)
-        except GeometryError:
-            # Numerically marginal rank (affine_basis said full rank, the
-            # hull code disagreed): fall back to the conservative axis-
-            # aligned bounding box, which over- rather than under-covers.
-            return Hull._bbox_hull(coords)
+            return np.array([lo, hi]), normals, np.array([-a, b]), b - a
+        return qhull_index(coords)
 
     @staticmethod
     def _bbox_hull(coords: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Axis-aligned bounding-box fallback in halfspace form."""
+        """Axis-aligned bounding box in halfspace form; returns (corners,
+        A, b, volume)."""
         r = coords.shape[1]
         lo, hi = coords.min(axis=0), coords.max(axis=0)
-        corners = np.stack(
-            np.meshgrid(*[[lo[k], hi[k]] for k in range(r)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, r)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
         eye = np.eye(r)
         normals = np.vstack([eye, -eye])
         offsets = np.concatenate([hi, -lo])
         volume = float(np.prod(hi - lo))
-        return np.unique(corners, axis=0), normals, offsets, volume
+        return corners, normals, offsets, volume
 
     # -- basic geometry ------------------------------------------------------
 

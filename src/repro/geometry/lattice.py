@@ -1,52 +1,60 @@
-"""Lattice point-cloud utilities.
+"""Lattice reduction of sorted flat keys before hulling.
 
-Fuzz campaigns discover dense integer index clouds (tens of thousands of
-points per cell for 3-D programs).  A convex hull only depends on extreme
-points, and a lattice point whose 2d axis neighbors are all present in the
-cloud can never be extreme — so stripping such interior points before hull
-construction changes nothing about the hull while cutting its input by an
-order of magnitude.
+A lattice point whose -1 and +1 neighbours along some axis are both in
+its cell is the midpoint of two cell points, so it is never a hull
+vertex at any rank.  Dropping such points works on the keys one axis
+(one n-vector) at a time, never on the unflattened cloud; a solid box
+keeps only its corners.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.geometry.primitives import as_points
+from repro.arraymodel.layout import row_major_strides
+from repro.perf.bitmap import DEFAULT_BITMAP_MAX_CELLS
 
 
-def lattice_boundary_points(points: np.ndarray) -> np.ndarray:
-    """Drop integer points all of whose axis neighbors are in the set.
+def lattice_boundary_points(flat: np.ndarray, dims: Sequence[int],
+                            cell_size: float,
+                            max_cells: int = DEFAULT_BITMAP_MAX_CELLS
+                            ) -> np.ndarray:
+    """Drop keys whose two neighbours along some axis share their cell.
 
     Args:
-        points: ``(n, d)`` integer-valued points (float dtype accepted).
+        flat: ascending distinct flat offsets in ``[0, prod(dims))``.
+        dims: array extents (the row-major layout of the keys).
+        cell_size: SPLIT cell edge; point ``c`` lies in cell
+            ``floor(c / cell_size)`` on every axis.
+        max_cells: neighbour lookups use a bitmap over the offset space
+            up to this many cells and ``searchsorted`` on ``flat``
+            beyond it.
 
     Returns:
-        The subset of points with at least one missing axis neighbor —
-        a superset of the cloud's convex-hull vertices.
+        The ascending subset of ``flat`` that can be hull vertices of
+        its cell — every non-empty cell keeps at least its
+        lexicographic minimum.
     """
-    pts = as_points(points)
-    ints = np.round(pts).astype(np.int64)
-    if not np.allclose(pts, ints):
-        # Non-integer cloud: interiority by lattice adjacency is undefined.
-        return pts
-    n, d = ints.shape
-    if n <= 2 * d + 1:
-        return pts
-    lo = ints.min(axis=0)
-    local = ints - lo
-    extents = local.max(axis=0) + 3  # +3: room for the +/-1 neighbor probes
-    strides = np.empty(d, dtype=np.int64)
-    strides[-1] = 1
-    for k in range(d - 2, -1, -1):
-        strides[k] = strides[k + 1] * extents[k + 1]
-    keys = (local + 1) @ strides
-    key_set = np.sort(keys)
-    interior = np.ones(n, dtype=bool)
-    for k in range(d):
-        for sign in (-1, 1):
-            probe = keys + sign * strides[k]
-            pos = np.searchsorted(key_set, probe)
-            pos = np.clip(pos, 0, key_set.size - 1)
-            interior &= key_set[pos] == probe
-    return pts[~interior]
+    flat = np.asarray(flat, dtype=np.int64)
+    n_flat = int(np.prod(dims))
+    if n_flat <= max_cells:
+        bitmap = np.zeros(n_flat, dtype=bool)
+        bitmap[flat] = True
+        member = bitmap.__getitem__
+    else:
+        def member(keys: np.ndarray) -> np.ndarray:
+            pos = np.minimum(np.searchsorted(flat, keys), flat.size - 1)
+            return flat[pos] == keys
+    keep = np.ones(flat.size, dtype=bool)
+    for dim, stride in zip(dims, row_major_strides(dims)):
+        # inner[c]: both c - 1 and c + 1 lie in the window (so neither
+        # neighbour key wraps a row) and in the cell of c.
+        cell = np.floor(np.arange(dim) / cell_size)
+        inner = np.zeros(dim, dtype=bool)
+        inner[1:-1] = (cell[:-2] == cell[1:-1]) & (cell[2:] == cell[1:-1])
+        idx = np.flatnonzero(keep & inner[flat // stride % dim])
+        key = flat[idx]
+        keep[idx[member(key - stride) & member(key + stride)]] = False
+    return flat[keep]

@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import sorted_unique
 from repro.errors import GeometryError
 
 
@@ -32,7 +31,7 @@ def as_points(points, ndim: int = None) -> np.ndarray:
     return pts
 
 
-def unique_rows(points: np.ndarray) -> np.ndarray:
+def dedupe_points(points: np.ndarray) -> np.ndarray:
     """Distinct rows of an ``(n, d)`` array in lexicographic order.
 
     Equal to ``np.unique(points, axis=0)`` (under ``np.array_equal``;
@@ -44,43 +43,6 @@ def unique_rows(points: np.ndarray) -> np.ndarray:
     keep = np.ones(rows.shape[0], dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
-
-
-def dedupe_points(points: np.ndarray) -> np.ndarray:
-    """Remove exact duplicate rows; rows come back lexicographically sorted.
-
-    Integer-valued clouds (the hull inputs on the carve path are lattice
-    points) dedupe through per-row flat keys over the cloud's own bounding
-    box and the sorted-set kernel — the ascending key order *is* the
-    lexicographic row order, so the result is bit-identical to
-    ``np.unique(points, axis=0)`` without its void-dtype row sort (which
-    dominates 3-D cell hulling).  Other clouds (the projected coordinates
-    a lower-dimensional hull dedupes again) go through
-    :func:`unique_rows`.
-    """
-    pts = np.asarray(points)
-    if pts.ndim != 2 or pts.shape[0] <= 1:
-        return np.unique(pts, axis=0)
-    ints = np.round(pts).astype(np.int64)
-    if not np.array_equal(ints, pts):
-        return unique_rows(pts)
-    lo = ints.min(axis=0)
-    local = ints - lo
-    extents = local.max(axis=0) + 1
-    if float(np.prod(extents.astype(np.float64))) > 2**62:
-        return unique_rows(pts)  # keys would overflow int64
-    d = ints.shape[1]
-    strides = np.empty(d, dtype=np.int64)
-    strides[-1] = 1
-    for k in range(d - 2, -1, -1):
-        strides[k] = strides[k + 1] * extents[k + 1]
-    keys = sorted_unique(local @ strides)
-    out = np.empty((keys.size, d), dtype=np.int64)
-    rem = keys
-    for k in range(d):
-        out[:, k] = rem // strides[k]
-        rem = rem % strides[k]
-    return (out + lo).astype(pts.dtype)
 
 
 def affine_basis(points: np.ndarray, tol: float = 1e-8

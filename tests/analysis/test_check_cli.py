@@ -98,6 +98,21 @@ class TestCheckCli:
         assert proc.returncode == 0
         assert "KND001" in proc.stdout
 
+    def test_analyzer_imports_neither_numpy_nor_scipy(self):
+        """``repro`` loads its public API lazily, so the AST linter runs
+        without the numeric stack."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(real_src())
+        code = ("import sys, repro.analysis.engine\n"
+                "print(sorted(m for m in ('numpy', 'scipy') "
+                "if m in sys.modules))\n"
+                "from repro import Kondo\n"
+                "print(Kondo.__name__)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "Kondo"]
+
 
 class TestSelfClean:
     """Acceptance: the repo's own tree passes its own linter."""

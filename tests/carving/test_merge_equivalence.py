@@ -4,8 +4,8 @@ On arbitrary point clouds :func:`merge_hulls` must reach the fixed point
 of the reference scan in ``tests/oracles/merge_scan.py`` — the same hull
 count, the same hulls in the same order, the same merge/pass counters —
 and the carver must produce the carved ``flat_indices`` of the reference
-pipeline (scan merge, per-point raster, sorted union with the observed
-points).
+pipeline (float-row front end, scan merge, per-point raster, sorted
+union with the observed keys).
 """
 
 import numpy as np
@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro.arraymodel.layout import flatten_many, sorted_unique
 from repro.carving import Carver
-from repro.carving.carver import observed_flat_indices
 from repro.carving.merge import merge_hulls
 from repro.fuzzing import CarveConfig
 from repro.geometry.hull import Hull
+from tests.oracles import carve_front
 from tests.oracles.merge_scan import merge_hulls_scan
 from tests.oracles.raster_points import integer_points_in_hulls
 
@@ -92,19 +92,20 @@ class TestCarverEquivalence:
            d=st.sampled_from([2, 3]))
     @settings(max_examples=20, deadline=None)
     def test_carved_flat_indices_bit_identical(self, seed, d):
-        """Carver (grid merge + bitmap raster) == the reference pipeline,
-        index for index."""
+        """Carver (flat-key front end + grid merge + bitmap raster) == the
+        reference pipeline (float-row front end + scan merge + per-point
+        raster), index for index."""
         rng = np.random.default_rng(seed)
         dims = (24,) * d
         n = int(rng.integers(1, 80))
-        pts = rng.integers(0, 24, size=(n, d)).astype(np.float64)
+        flat = sorted_unique(rng.integers(0, 24 ** d, size=n))
         config = CarveConfig(cell_size=8)
-        carver = Carver(dims, config)
-        hulls, _ = merge_hulls_scan(carver.build_cell_hulls(pts), config)
+        hulls, _ = merge_hulls_scan(
+            carve_front.cell_hulls(flat, dims, config.cell_size), config)
         raster = integer_points_in_hulls(hulls, dims, tol=config.raster_tol)
-        expected = sorted_unique(np.concatenate(
-            (flatten_many(raster, dims), observed_flat_indices(pts, dims))))
-        got = carver.carve_points(pts)
+        expected = sorted_unique(
+            np.concatenate((flatten_many(raster, dims), flat)))
+        got = Carver(dims, config).carve_flat(flat)
         assert got.n_hulls == len(hulls)
         assert got.flat_indices.dtype == np.int64
         assert np.array_equal(got.flat_indices, expected)

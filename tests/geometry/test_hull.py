@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
@@ -204,3 +204,59 @@ class TestContainsProperties:
         assert hash(a) == hash(b)
         assert a != c
         assert len({a, b, c}) == 2
+
+
+@st.composite
+def ranked_clouds(draw):
+    """Integer clouds of a chosen rank (0-3) in 2-D or 3-D: an integer
+    origin plus integer combinations of independent integer directions."""
+    d = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(0, d))
+    origin = np.array([draw(st.integers(-20, 20)) for _ in range(d)])
+    dirs = np.array([[draw(st.integers(-3, 3)) for _ in range(d)]
+                     for _ in range(rank)]).reshape(rank, d)
+    assume(np.linalg.matrix_rank(dirs) == rank if rank else True)
+    n = draw(st.integers(rank + 1, 40))
+    coefs = np.array([[draw(st.integers(-6, 6)) for _ in range(rank)]
+                      for _ in range(n)]).reshape(n, rank)
+    pts = (origin + coefs @ dirs).astype(float)
+    assume(np.linalg.matrix_rank(pts - pts[0]) == rank if rank else True)
+    return pts, rank
+
+
+class TestCanonicalForm:
+    """A hull depends only on its point set's hull, never on which
+    superset of its vertices it was built from, or in which order."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.centroid.tobytes() == b.centroid.tobytes()
+
+    @given(ranked_clouds(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_permutations_and_vertex_supersets(self, cloud, rnd):
+        pts, rank = cloud
+        hull = Hull.from_points(pts)
+        assert hull.rank == rank
+        # Vertices are input rows in lexicographic order.
+        rows = {tuple(p) for p in pts.tolist()}
+        assert all(tuple(v) in rows for v in hull.vertices.tolist())
+        assert hull.vertices.tolist() == sorted(hull.vertices.tolist())
+        order = list(range(pts.shape[0]))
+        rnd.shuffle(order)
+        self._assert_same(hull, Hull.from_points(pts[order]))
+        keep = [rnd.random() < 0.5 for _ in order]
+        subset = np.vstack([pts[keep], hull.vertices])
+        self._assert_same(hull, Hull.from_points(subset[::-1]))
+        self._assert_same(hull, Hull.from_points(hull.vertices))
+
+    def test_merge_is_symmetric(self):
+        a = Hull.from_points([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4]])
+        b = Hull.from_points([[9, 9, 1], [9, 1, 9], [1, 9, 9]])
+        self._assert_same(a.merge(b), b.merge(a))
+
+    def test_2d_vertices_are_lexicographic(self):
+        h = Hull.from_points([[3, 0], [4, 4], [0, 3], [1, 1], [2, 2], [0, 1]])
+        assert h.vertices.tolist() == [[0, 1], [0, 3], [3, 0], [4, 4]]

@@ -14,7 +14,6 @@ from repro.geometry.primitives import (
     min_pairwise_distance,
     project_to_subspace,
     subspace_residual,
-    unique_rows,
 )
 
 
@@ -119,7 +118,7 @@ class TestMisc:
 
 
 #: Coordinates that collide often, include both signed zeros, and are
-#: not all integers (so ``dedupe_points`` takes its row-sort path).
+#: not all integers.
 _COORDS = st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-9, 3.0, -7.0])
 
 
@@ -138,9 +137,9 @@ class TestRowDedupe:
     @settings(max_examples=120, deadline=None)
     def test_matches_np_unique_axis0(self, pts):
         expect = np.unique(pts, axis=0)
-        for got in (unique_rows(pts), dedupe_points(pts)):
-            assert got.dtype == expect.dtype
-            assert np.array_equal(got, expect)
+        got = dedupe_points(pts)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
 
     @given(pts=float_cloud())
     @settings(max_examples=40, deadline=None)
@@ -150,8 +149,8 @@ class TestRowDedupe:
 
     def test_signed_zeros_collapse_to_one_row(self):
         pts = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, -0.0]])
-        assert unique_rows(pts).tolist() == [[0.0, 0.0], [0.0, 0.5]]
+        assert dedupe_points(pts).tolist() == [[0.0, 0.0], [0.0, 0.5]]
 
     def test_empty_and_single_row(self):
-        assert unique_rows(np.empty((0, 3))).shape == (0, 3)
-        assert unique_rows(np.array([[1.5, 2.0]])).tolist() == [[1.5, 2.0]]
+        assert dedupe_points(np.empty((0, 3))).shape == (0, 3)
+        assert dedupe_points(np.array([[1.5, 2.0]])).tolist() == [[1.5, 2.0]]
