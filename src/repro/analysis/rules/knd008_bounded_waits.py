@@ -26,8 +26,8 @@ from repro.analysis.model import Finding, Severity
 from repro.analysis.project import Project, ProjectFile
 from repro.analysis.rulebase import Rule, register
 
-#: Packages whose blocking calls must be bounded (the supervision /
-#: recovery machinery itself plus the pool it wraps).
+#: Packages whose blocking calls must be bounded: the supervision /
+#: recovery machinery itself, and the ``repro.perf`` set kernels.
 SCOPED_PACKAGES = ("repro.resilience", "repro.perf")
 
 #: Call names treated as blocking primitives.

@@ -26,7 +26,7 @@ import bisect
 import json
 import os
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.arraymodel.datafile import (
     verify_header,
     verify_payload_crc,
 )
-from repro.arraymodel.layout import sorted_unique
+from repro.arraymodel.layout import flat_runs, merge_ranges_arrays
 from repro.arraymodel.schema import ArraySchema
 from repro.arraymodel.spans import (
     SPAN_CLEAN,
@@ -90,34 +90,24 @@ def compose_knds_bytes(schema: ArraySchema,
     ])
 
 
-def merge_extents(extents: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Sort and coalesce overlapping/adjacent ``(start, size)`` extents."""
-    merged: List[Tuple[int, int]] = []
-    for start, size in sorted((int(s), int(z)) for s, z in extents):
-        if size <= 0:
-            continue
-        if merged and start <= merged[-1][0] + merged[-1][1]:
-            end = max(merged[-1][0] + merged[-1][1], start + size)
-            merged[-1] = (merged[-1][0], end - merged[-1][0])
-        else:
-            merged.append((start, size))
-    return merged
+def merge_extents(extents: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Sort and coalesce overlapping/adjacent ``(start, size)`` extents.
+
+    The list form of :func:`~repro.arraymodel.layout.merge_ranges_arrays`;
+    extents with ``size <= 0`` are dropped.
+    """
+    arr = np.asarray(list(extents), dtype=np.int64).reshape(-1, 2)
+    starts, ends = merge_ranges_arrays(arr[:, 0], arr[:, 0] + arr[:, 1])
+    return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
 def extents_from_flat_indices(
     flat: np.ndarray, itemsize: int
 ) -> List[Tuple[int, int]]:
     """Collapse a set of flat element numbers into merged byte extents."""
-    flat = sorted_unique(flat)
-    if flat.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(flat) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [flat.size - 1]))
-    return [
-        (int(flat[s]) * itemsize, int(flat[e] - flat[s] + 1) * itemsize)
-        for s, e in zip(starts, ends)
-    ]
+    starts, lengths = flat_runs(flat)
+    return list(zip((starts * itemsize).tolist(),
+                    (lengths * itemsize).tolist()))
 
 
 class DebloatedArrayFile:

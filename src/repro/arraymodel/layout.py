@@ -15,7 +15,7 @@ and carving layers use to translate large event batches cheaply.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +110,69 @@ def sorted_unique(values) -> np.ndarray:
     return arr[keep]
 
 
+def ragged_aranges(starts, lengths) -> np.ndarray:
+    """Concatenate ``arange(starts[i], starts[i] + lengths[i])`` for all i.
+
+    The segmented arange: one ``arange`` over the total plus each run's
+    start shifted by its output offset, repeated over the run — no
+    per-run Python work.  Zero and negative lengths contribute nothing.
+    """
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+    keep = lengths > 0
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
+    offsets = np.cumsum(lengths) - lengths
+    return (np.arange(int(lengths.sum()), dtype=np.int64)
+            + np.repeat(starts - offsets, lengths))
+
+
+def flat_runs(flat) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of consecutive values in the set of ``flat``.
+
+    Returns ``(starts, lengths)``, ascending, with
+    ``ragged_aranges(starts, lengths) == sorted_unique(flat)``.
+    """
+    arr = sorted_unique(flat)
+    if arr.size == 0:
+        return arr, arr
+    heads = np.append(0, np.flatnonzero(np.diff(arr) != 1) + 1)
+    return arr[heads], np.diff(heads, append=arr.size)
+
+
+def merge_ranges_arrays(
+    starts: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized coalescing of half-open ``[start, end)`` ranges.
+
+    Sorts by ``(start, end)``, runs a cumulative max over the ends, and
+    keeps exactly the group heads where a start exceeds every earlier
+    end.  Touching ranges coalesce (``s <= prev_end``) and empty ranges
+    are dropped, exactly as the interval B-tree's ``merged()`` does: the
+    paper's event merge, and the merge of KNDS extents.
+
+    Returns the merged ``(starts, ends)`` pair, sorted ascending.
+    """
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1)
+    keep = ends > starts
+    if not keep.all():
+        starts, ends = starts[keep], ends[keep]
+    if starts.size == 0:
+        return starts, ends
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    running_end = np.maximum.accumulate(ends)
+    # A new merged group begins wherever this start lies strictly past the
+    # max end of everything before it (touching ranges stay merged).
+    heads = np.empty(starts.size, dtype=bool)
+    heads[0] = True
+    np.greater(starts[1:], running_end[:-1], out=heads[1:])
+    # Each group's end is the running max just before the next group head.
+    tails = np.append(np.flatnonzero(heads)[1:] - 1, starts.size - 1)
+    return starts[heads], running_end[tails]
+
+
 def element_runs(starts: np.ndarray, sizes: np.ndarray, itemsize: int,
                  n_elements: int) -> np.ndarray:
     """Payload element numbers whose bytes overlap each byte range.
@@ -117,21 +180,13 @@ def element_runs(starts: np.ndarray, sizes: np.ndarray, itemsize: int,
     Range ``r`` is ``[starts[r], starts[r] + sizes[r])``, clamped to the
     ``n_elements`` stored elements; empty and out-of-payload ranges
     contribute nothing.  Returns the concatenation of every range's
-    ascending run, built with one segmented ``arange`` (repeat +
-    cumulative-offset subtraction) — no per-range Python work.
+    ascending run (:func:`ragged_aranges`).
     """
     starts = np.asarray(starts, dtype=np.int64).reshape(-1)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
     firsts = np.maximum(starts // itemsize, 0)
     lasts = np.minimum(-(-(starts + sizes) // itemsize), n_elements)
-    counts = np.maximum(lasts - firsts, 0)
-    counts[sizes <= 0] = 0
-    keep = counts > 0
-    firsts, counts = firsts[keep], counts[keep]
-    # Element k of run r is firsts[r] + k.
-    run_offsets = np.cumsum(counts) - counts
-    return (np.arange(int(counts.sum()), dtype=np.int64)
-            + np.repeat(firsts - run_offsets, counts))
+    return ragged_aranges(firsts, np.where(sizes > 0, lasts - firsts, 0))
 
 
 class Layout:
@@ -216,23 +271,3 @@ class RowMajorLayout(Layout):
                             self.schema.n_elements)
         return unflatten_many(flat, self.schema.dims)
 
-
-def extents_for_indices(
-    layout: Layout, indices: Iterable[Sequence[int]]
-) -> list:
-    """Merge per-element byte extents of ``indices`` into ``(start, size)`` runs.
-
-    Used when building a debloated file: contiguous elements collapse into a
-    single extent, which is what makes the sparse KNDS payload compact.
-    """
-    offsets = sorted(layout.offset_of(i) for i in indices)
-    item = layout.schema.itemsize
-    runs = []
-    for off in offsets:
-        if runs and off == runs[-1][0] + runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + item)
-        elif runs and off < runs[-1][0] + runs[-1][1]:
-            continue  # duplicate index
-        else:
-            runs.append((off, item))
-    return runs

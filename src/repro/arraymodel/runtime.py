@@ -71,14 +71,19 @@ class KondoRuntime:
             value = self.subset.read_point(index)
             self.stats.hits += 1
             return value
-        except DataMissingError:
+        except DataMissingError as miss:
             self.stats.misses += 1
             if self.record_misses:
                 self.stats.missed_indices.append(index)
-            if self.remote_fetcher is not None:
-                self.stats.remote_fetches += 1
-                return self.remote_fetcher(index)
-            raise
+            return self._recover(index, miss)
+
+    def _recover(self, index: Tuple[int, ...],
+                 miss: DataMissingError) -> float:
+        """Serve a Null access: the remote fetch, or re-raise ``miss``."""
+        if self.remote_fetcher is None:
+            raise miss
+        self.stats.remote_fetches += 1
+        return self.remote_fetcher(index)
 
     def run_program(self, program, v, dims=None) -> RuntimeStats:
         """Execute a workload program against this runtime.

@@ -10,9 +10,10 @@ resolution (:mod:`~repro.audit.session`), in-process function interposition
 (:mod:`~repro.audit.overhead`).
 """
 
+from repro.arraymodel.layout import merge_ranges_arrays
 from repro.audit.blockcapture import BlockRecorder
 from repro.audit.events import ACCESS_TYPES, Event, EventType
-from repro.audit.flatstore import FlatIntervalStore, merge_ranges_arrays
+from repro.audit.flatstore import FlatIntervalStore
 from repro.audit.interposer import AuditedFile, audited_open
 from repro.audit.overhead import OverheadReport, measure_overhead, summarize
 from repro.audit.replay import (

@@ -8,8 +8,9 @@ arxiv 2405.17701), this store keeps the intervals as flat sorted
 ``int64`` start/end arrays and answers every query with numpy
 primitives —
 
-* :meth:`FlatIntervalStore.merged` — one ``np.maximum.accumulate`` sweep
-  over the sorted starts (a running max of ends finds coverage breaks),
+* :meth:`FlatIntervalStore.merged` — one
+  :func:`~repro.arraymodel.layout.merge_ranges_arrays` sweep over the
+  sorted starts (a running max of ends finds coverage breaks),
 * :meth:`FlatIntervalStore.overlapping` — two ``searchsorted`` probes
   (one on the starts, one on the cummax-of-ends, which is monotone)
   bracket the candidate window, then a single boolean mask selects hits,
@@ -31,54 +32,12 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.arraymodel.layout import merge_ranges_arrays
 from repro.errors import AuditError
 
 
 #: Initial growth-buffer capacity (doubles as needed).
 _INITIAL_CAPACITY = 1024
-
-
-def merge_ranges_arrays(
-    starts: np.ndarray, ends: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized coalescing of half-open ranges (the paper's event merge).
-
-    Sorts by ``(start, end)``, runs a cumulative max over the ends, and
-    keeps exactly the group heads where a start exceeds every earlier
-    end.  Touching ranges coalesce (``s <= prev_end``) and zero-length
-    ranges are dropped, exactly as the interval B-tree's ``merged()``
-    does.
-
-    Returns the merged ``(starts, ends)`` pair, sorted ascending.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    keep = ends > starts
-    if not keep.all():
-        starts, ends = starts[keep], ends[keep]
-    if starts.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    order = np.lexsort((ends, starts))
-    starts, ends = starts[order], ends[order]
-    running_end = np.maximum.accumulate(ends)
-    # A new merged group begins wherever this start lies strictly past the
-    # max end of everything before it (touching ranges stay merged).
-    heads = np.empty(starts.size, dtype=bool)
-    heads[0] = True
-    np.greater(starts[1:], running_end[:-1], out=heads[1:])
-    group_starts = starts[heads]
-    # Each group's end is the running max just before the next group head.
-    tail_idx = np.flatnonzero(heads)[1:] - 1
-    group_ends = np.concatenate([running_end[tail_idx], running_end[-1:]])
-    return group_starts, group_ends
-
-
-def merged_ranges_list(starts: np.ndarray,
-                       ends: np.ndarray) -> List[Tuple[int, int]]:
-    """:func:`merge_ranges_arrays` materialized as ``[(start, end), ...]``."""
-    ms, me = merge_ranges_arrays(starts, ends)
-    return list(zip(ms.tolist(), me.tolist()))
 
 
 class FlatIntervalStore:
@@ -195,8 +154,8 @@ class FlatIntervalStore:
 
     def merged(self) -> List[Tuple[int, int]]:
         """Coalesced coverage: merged, sorted ``(start, end)`` ranges."""
-        return merged_ranges_list(self._starts[: self._n],
-                                  self._ends[: self._n])
+        starts, ends = self.merged_arrays()
+        return list(zip(starts.tolist(), ends.tolist()))
 
     def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Merged coverage as ``(starts, ends)`` int64 arrays (no tuples)."""

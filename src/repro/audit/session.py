@@ -26,10 +26,15 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, sorted_unique, unflatten_many
+from repro.arraymodel.layout import (
+    flatten_many,
+    merge_ranges_arrays,
+    sorted_unique,
+    unflatten_many,
+)
 from repro.audit.blockcapture import DEFAULT_BUFFER_SIZE, BlockRecorder
 from repro.audit.events import Event
-from repro.audit.flatstore import FlatIntervalStore, merge_ranges_arrays
+from repro.audit.flatstore import FlatIntervalStore
 from repro.errors import AuditError
 
 

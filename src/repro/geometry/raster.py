@@ -5,12 +5,13 @@ subset ``I'_Theta`` is a set of *array indices*.  This module converts back:
 all integer lattice points inside a hull (clipped to the array dims) — the
 indices Kondo will keep in the debloated file.
 
-The union is accumulated in a flat-index ``np.bool_`` bitmap, or for
-offset spaces beyond ``DEFAULT_BITMAP_MAX_CELLS`` a sorted-int64-key
-union (ascending flat order is exactly the lexicographic row order, so
-both give the same answer), and containment tests are mostly skipped.
-Full-rank hulls are filled by per-column last-axis intervals computed
-from the halfspace form (:func:`_fill_column_spans`) with only a thin
+Each hull contributes arrays of flat keys, and one
+:func:`~repro.perf.bitmap.union_flat` at the end makes them the sorted
+union (ascending flat order is exactly the lexicographic row order);
+containment tests are mostly skipped.  Full-rank hulls are filled by
+per-column last-axis intervals computed from the halfspace form
+(:func:`_fill_column_spans`), expanded to keys with one
+:func:`~repro.arraymodel.layout.ragged_aranges`, with only a thin
 uncertainty band handed to exact point tests; lattice batches whose
 bounding box passes the 2^d corner containment check skip point tests
 (a box lies in a convex hull iff its corners do); and hulls whose padded
@@ -28,9 +29,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import row_major_strides, unflatten_many
+from repro.arraymodel.layout import ragged_aranges, row_major_strides, unflatten_many
 from repro.geometry.hull import Hull
-from repro.perf.bitmap import FlatAccumulator, make_accumulator, ragged_aranges
+from repro.perf.bitmap import union_flat
 
 #: Rasterize in batches of this many candidate lattice points to bound
 #: peak memory on large 3-D boxes.
@@ -115,7 +116,7 @@ def _ambient_halfspaces(hull: Hull) -> Tuple[np.ndarray, np.ndarray]:
 
 def _fill_column_spans(hull: Hull, lo: np.ndarray, hi: np.ndarray,
                        tol: float, strides: np.ndarray,
-                       acc: FlatAccumulator) -> bool:
+                       parts: List[np.ndarray]) -> bool:
     """Rasterize a full-rank hull by per-column last-axis intervals.
 
     Convexity means every lattice column (fixed leading coordinates)
@@ -123,7 +124,7 @@ def _fill_column_spans(hull: Hull, lo: np.ndarray, hi: np.ndarray,
     directly from the halfspace form instead of testing every point.
     Each halfspace bound is evaluated twice — with the slack tightened
     and loosened by ``_SPAN_EPS`` — giving a *conservative* interval
-    (certainly inside: bulk-filled via span assignment) nested in a
+    (certainly inside: every key of it is kept) nested in a
     *liberal* one (certainly outside beyond it: dropped).  Only lattice
     points between the two, plus whole columns sitting within the margin
     of a column-constant halfspace, are handed to the exact
@@ -140,14 +141,15 @@ def _fill_column_spans(hull: Hull, lo: np.ndarray, hi: np.ndarray,
     if n_cols > _MAX_COLUMNS:
         return False
     W, c = _ambient_halfspaces(hull)
-    cols = np.stack(
+    icols = np.stack(
         np.meshgrid(
             *[np.arange(lo[k], hi[k] + 1, dtype=np.int64)
               for k in range(d - 1)],
             indexing="ij",
         ),
         axis=-1,
-    ).reshape(n_cols, d - 1).astype(np.float64)
+    ).reshape(n_cols, d - 1)
+    cols = icols.astype(np.float64)
     z_lo, z_hi = float(lo[-1]), float(hi[-1])
     lib_lo = np.full(n_cols, z_lo)
     con_lo = np.full(n_cols, z_lo)
@@ -181,8 +183,9 @@ def _fill_column_spans(hull: Hull, lo: np.ndarray, hi: np.ndarray,
     fill_lo = np.where(empty, np.int64(0), con_lo_i)
     fill_hi = np.where(empty, np.int64(-1), con_hi_i)
     live = ~dead & (lib_lo_i <= lib_hi_i)
-    base = (cols.astype(np.int64) @ strides[:-1])[live]
-    acc.add_spans(base + fill_lo[live], base + fill_hi[live])
+    base = (icols @ strides[:-1])[live]
+    parts.append(ragged_aranges(base + fill_lo[live],
+                                fill_hi[live] - fill_lo[live] + 1))
     # Candidate z values: liberal minus filled, below and above the fill.
     # Columns with no fill put their whole liberal interval in the first
     # part and nothing in the second.
@@ -193,17 +196,13 @@ def _fill_column_spans(hull: Hull, lo: np.ndarray, hi: np.ndarray,
         (np.maximum(lib_lo_i, np.where(empty, lib_hi_i + 1, fill_hi + 1)),
          lib_hi_i),
     ):
-        lengths = np.where(live, stops - starts + 1, 0)
-        lengths = np.maximum(lengths, 0)
+        lengths = np.where(live, np.maximum(stops - starts + 1, 0), 0)
         total = int(lengths.sum())
         if total == 0:
             continue
-        keep = lengths > 0
-        z = ragged_aranges(starts[keep], lengths[keep])
         pts = np.empty((total, d), dtype=np.int64)
-        pts[:, :-1] = np.repeat(cols[keep].astype(np.int64),
-                                lengths[keep], axis=0)
-        pts[:, -1] = z
+        pts[:, :-1] = np.repeat(icols, lengths, axis=0)
+        pts[:, -1] = ragged_aranges(starts, lengths)
         cand_parts.append(pts)
     if cand_parts:
         cand = np.concatenate(cand_parts, axis=0)
@@ -211,15 +210,15 @@ def _fill_column_spans(hull: Hull, lo: np.ndarray, hi: np.ndarray,
         # columns; overlap is impossible because the first stops before
         # fill_lo and the second starts after fill_hi.
         mask = hull.contains(cand.astype(np.float64), tol=tol)
-        if mask.any():
-            acc.add(cand[mask] @ strides)
+        parts.append(cand[mask] @ strides)
     return True
 
 
 def _scatter_box_points(hull: Hull, lo: np.ndarray, hi: np.ndarray,
                         tol: float, strides: np.ndarray,
-                        acc: FlatAccumulator) -> None:
-    """Containment-test the lattice points of ``[lo, hi]`` into ``acc``."""
+                        parts: List[np.ndarray]) -> None:
+    """Containment-test the lattice points of ``[lo, hi]``; append the
+    flat keys of those inside to ``parts``."""
     total = int(np.prod((hi - lo + 1).astype(np.int64)))
     for pts in _iter_box_points(lo, hi):
         # Batch shortcut: a batch whose own bounding box sits inside the
@@ -227,11 +226,10 @@ def _scatter_box_points(hull: Hull, lo: np.ndarray, hi: np.ndarray,
         if total > pts.shape[0] and _box_inside(
             hull, pts.min(axis=0), pts.max(axis=0), tol
         ):
-            acc.add(pts @ strides)
+            parts.append(pts @ strides)
             continue
         mask = hull.contains(pts.astype(np.float64), tol=tol)
-        if mask.any():
-            acc.add(pts[mask] @ strides)
+        parts.append(pts[mask] @ strides)
 
 
 def flat_indices_in_hulls(
@@ -251,7 +249,7 @@ def flat_indices_in_hulls(
     dims = tuple(int(d) for d in dims)
     n_flat = int(np.prod(dims))
     strides = np.asarray(row_major_strides(dims), dtype=np.int64)
-    acc = make_accumulator(n_flat)
+    parts: List[np.ndarray] = []
     done: List[Tuple[Hull, np.ndarray, np.ndarray]] = []
     for hull in hulls:
         bounds = _lattice_bounds(hull, dims, pad=tol)
@@ -267,10 +265,10 @@ def flat_indices_in_hulls(
             for prev, p_lo, p_hi in done
         ):
             continue
-        if not _fill_column_spans(hull, lo, hi, tol, strides, acc):
-            _scatter_box_points(hull, lo, hi, tol, strides, acc)
+        if not _fill_column_spans(hull, lo, hi, tol, strides, parts):
+            _scatter_box_points(hull, lo, hi, tol, strides, parts)
         done.append((hull, lo, hi))
-    return acc.to_sorted()
+    return union_flat(parts, n_flat)
 
 
 def integer_points_in_hulls(

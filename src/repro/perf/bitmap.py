@@ -2,7 +2,7 @@
 
 The pipeline repeatedly needs "sorted unique union" over large batches of
 integer index points — deduplicating a workload's accessed cells, and
-unioning the lattice points of overlapping hulls during rasterization.
+unioning the flat keys of overlapping hulls at the end of rasterization.
 The seed implementation used ``np.unique(..., axis=0)`` on row-stacked
 ``(n, d)`` points, which sorts a void-dtype view and dominates the 3-D
 pipelines.  Because every point lives in a known box ``[0, dims)``, the
@@ -15,8 +15,7 @@ A bitmap costs O(n_flat) whatever the input size, so it only pays when
 the space is dense enough: :func:`unique_flat` scatters when
 ``n_flat <= 8 * len(flat)`` (and ``n_flat <= bitmap_max_cells``, the
 memory cap) and otherwise hands the offsets to the sorted-set kernel
-:func:`repro.arraymodel.layout.sorted_unique`, which is also what the
-sorted-key accumulator reads out through.  Offsets outside
+:func:`repro.arraymodel.layout.sorted_unique`.  Offsets outside
 ``[0, n_flat)`` raise :class:`~repro.errors.LayoutError` on either path.
 """
 
@@ -30,9 +29,9 @@ from repro.arraymodel.layout import row_major_strides, sorted_unique, unflatten_
 from repro.errors import LayoutError
 
 #: Largest flat offset space (in elements) for which rasterization and
-#: deduplication use a dense ``np.bool_`` bitmap.  Beyond it they fall
-#: back to sorted-int64-key unions, which need no allocation proportional
-#: to the array volume.  2**26 bools = 64 MiB.
+#: deduplication use a dense ``np.bool_`` bitmap.  Beyond it they sort
+#: int64 keys, which needs no allocation proportional to the array
+#: volume.  2**26 bools = 64 MiB.
 DEFAULT_BITMAP_MAX_CELLS = 1 << 26
 
 #: A dense bitmap is used only when ``n_flat <= DENSE_RATIO * len(flat)``:
@@ -115,116 +114,3 @@ def unique_lattice_points(
     strides = np.asarray(row_major_strides(dims), dtype=np.int64)
     flat = unique_flat(pts @ strides, int(np.prod(dims)), max_cells)
     return unflatten_many(flat, dims)
-
-
-def ragged_aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(starts[i], starts[i] + lengths[i])`` for all i.
-
-    Fully vectorized; zero lengths contribute nothing.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    keep = lengths > 0
-    starts, lengths = starts[keep], lengths[keep]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    total = int(lengths.sum())
-    bases = np.repeat(starts, lengths)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    return bases + offsets
-
-
-class FlatBitmap:
-    """A growable-free dense membership set over ``[0, n_flat)`` offsets.
-
-    Thin wrapper used by the rasterizer: scatter batches of flat offsets,
-    read the sorted members out once at the end.
-    """
-
-    def __init__(self, n_flat: int):
-        self.n_flat = int(n_flat)
-        self._bits = np.zeros(self.n_flat, dtype=bool)
-
-    def add(self, flat: np.ndarray) -> None:
-        if flat.size:
-            self._bits[flat] = True
-
-    def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Set every offset of the inclusive spans ``[starts_i, ends_i]``.
-
-        Boundary-delta trick: +1 at each span start, -1 past each span
-        end, cumulative-sum — one O(n_flat) pass sets any number of spans
-        without per-span Python work.
-        """
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        keep = ends >= starts
-        starts, ends = starts[keep], ends[keep]
-        if starts.size == 0:
-            return
-        delta = np.zeros(self.n_flat + 1, dtype=np.int32)
-        np.add.at(delta, starts, 1)
-        np.add.at(delta, ends + 1, -1)
-        self._bits |= np.cumsum(delta[:-1]) > 0
-
-    def to_sorted(self) -> np.ndarray:
-        return np.flatnonzero(self._bits).astype(np.int64)
-
-
-def make_accumulator(
-    n_flat: int,
-    max_cells: int = DEFAULT_BITMAP_MAX_CELLS,
-) -> "FlatAccumulator":
-    """Pick the dense-bitmap or sorted-key accumulator for a space size."""
-    if n_flat <= max_cells:
-        return _BitmapAccumulator(n_flat)
-    return _KeyAccumulator()
-
-
-class FlatAccumulator:
-    """Accumulates flat offsets; yields them sorted-unique at the end."""
-
-    def add(self, flat: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Add every offset of the inclusive flat spans ``[s_i, e_i]``."""
-        raise NotImplementedError
-
-    def to_sorted(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _BitmapAccumulator(FlatAccumulator):
-    def __init__(self, n_flat: int):
-        self._bitmap = FlatBitmap(n_flat)
-
-    def add(self, flat: np.ndarray) -> None:
-        self._bitmap.add(flat)
-
-    def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        self._bitmap.add_spans(starts, ends)
-
-    def to_sorted(self) -> np.ndarray:
-        return self._bitmap.to_sorted()
-
-
-class _KeyAccumulator(FlatAccumulator):
-    def __init__(self):
-        self._parts = []
-
-    def add(self, flat: np.ndarray) -> None:
-        if flat.size:
-            self._parts.append(np.asarray(flat, dtype=np.int64))
-
-    def add_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        self._parts.append(ragged_aranges(starts, ends - starts + 1))
-
-    def to_sorted(self) -> np.ndarray:
-        if not self._parts:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(np.concatenate(self._parts))

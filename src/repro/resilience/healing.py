@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,19 +107,6 @@ class ResilientRuntime(KondoRuntime):
         self.stats = HealingStats()
 
     # -- the resilient miss path -------------------------------------------
-
-    def read(self, index: Sequence[int]) -> float:
-        index = tuple(int(i) for i in index)
-        self.stats.reads += 1
-        try:
-            value = self.subset.read_point(index)
-            self.stats.hits += 1
-            return value
-        except DataMissingError as miss:
-            self.stats.misses += 1
-            if self.record_misses:
-                self.stats.missed_indices.append(index)
-            return self._recover(index, miss)
 
     def _recover(self, index: Tuple[int, ...],
                  miss: DataMissingError) -> float:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import sorted_unique
+from repro.arraymodel.layout import flat_runs, ragged_aranges, sorted_unique
 from repro.core import Kondo
 from repro.errors import ServiceError
 from repro.fuzzing import FuzzConfig
@@ -163,23 +163,13 @@ def encode_runs(flat) -> List[List[int]]:
     The input is sorted-uniqued first, so the encoding is canonical:
     two clouds with the same offset *set* encode identically.
     """
-    arr = sorted_unique(flat)
-    if arr.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(arr) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [arr.size - 1]))
-    return [[int(arr[s]), int(e - s + 1)] for s, e in zip(starts, ends)]
+    return np.stack(flat_runs(flat), axis=1).tolist()
 
 
 def decode_runs(runs: List[List[int]]) -> np.ndarray:
     """Inverse of :func:`encode_runs`: runs back to a sorted flat array."""
-    if not runs:
-        return np.empty(0, dtype=np.int64)
-    parts = [np.arange(int(start), int(start) + int(length),
-                       dtype=np.int64)
-             for start, length in runs]
-    return sorted_unique(np.concatenate(parts))
+    arr = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    return sorted_unique(ragged_aranges(arr[:, 0], arr[:, 1]))
 
 
 # -- shard execution ---------------------------------------------------------

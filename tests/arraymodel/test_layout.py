@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arraymodel import ArraySchema, RowMajorLayout
+from repro.arraymodel.debloated import extents_from_flat_indices
 from repro.arraymodel.layout import (
-    extents_for_indices,
     flatten_index,
     flatten_many,
     row_major_strides,
@@ -126,23 +126,26 @@ class TestRowMajorLayout:
 
 
 class TestExtentsForIndices:
+    """Index sets become byte extents through their row-major flat keys."""
+
+    @staticmethod
+    def _extents(lay, indices):
+        flat = flatten_many(np.asarray(indices), lay.schema.dims)
+        return extents_from_flat_indices(flat, lay.schema.itemsize)
+
     def test_contiguous_merge(self):
         lay = RowMajorLayout(ArraySchema((2, 4), "f8"))
-        runs = extents_for_indices(lay, [(0, 0), (0, 1), (0, 2)])
-        assert runs == [(0, 24)]
+        assert self._extents(lay, [(0, 0), (0, 1), (0, 2)]) == [(0, 24)]
 
     def test_gap_splits_runs(self):
         lay = RowMajorLayout(ArraySchema((2, 4), "f8"))
-        runs = extents_for_indices(lay, [(0, 0), (0, 2)])
-        assert runs == [(0, 8), (16, 8)]
+        assert self._extents(lay, [(0, 0), (0, 2)]) == [(0, 8), (16, 8)]
 
     def test_duplicates_ignored(self):
         lay = RowMajorLayout(ArraySchema((2, 4), "f8"))
-        runs = extents_for_indices(lay, [(0, 1), (0, 1)])
-        assert runs == [(8, 8)]
+        assert self._extents(lay, [(0, 1), (0, 1)]) == [(8, 8)]
 
     def test_row_wrap_is_contiguous(self):
         # (0,3) and (1,0) are adjacent in row-major flat order.
         lay = RowMajorLayout(ArraySchema((2, 4), "f8"))
-        runs = extents_for_indices(lay, [(0, 3), (1, 0)])
-        assert runs == [(24, 16)]
+        assert self._extents(lay, [(0, 3), (1, 0)]) == [(24, 16)]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import FlatIntervalStore
-from repro.audit.flatstore import merge_ranges_arrays
+from repro.arraymodel.layout import merge_ranges_arrays
 from repro.errors import AuditError
 from tests.oracles.interval_btree import IntervalBTree
 

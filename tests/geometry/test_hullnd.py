@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import Hull
-from repro.geometry.hullnd import qhull_hull
+from repro.geometry.hullnd import qhull_index
 
 
 class TestQhullWrapper:
@@ -15,30 +15,34 @@ class TestQhullWrapper:
              for c in (0, 1) for d in (0, 1)],
             dtype=float,
         )
-        verts, normals, offsets, volume = qhull_hull(corners)
+        index, normals, offsets, volume = qhull_index(corners)
         assert volume == pytest.approx(1.0)
-        assert verts.shape[0] == 16
+        assert sorted(index.tolist()) == list(range(16))
         center = np.full(4, 0.5)
         assert (normals @ center <= offsets + 1e-9).all()
 
     def test_2d_vertices_ccw_from_lexicographic_minimum(self):
         pts = np.array([[3, 0], [4, 4], [0, 3], [1, 1], [2, 2], [0, 1]],
                        dtype=float)
-        verts, normals, offsets, area = qhull_hull(pts)
-        assert verts.tolist() == [[0, 1], [3, 0], [4, 4], [0, 3]]
+        index, normals, offsets, area = qhull_index(pts)
+        verts = pts[index]
+        # Qhull lists 2-D vertices counter-clockwise from an arbitrary one.
+        first = min(range(len(index)), key=lambda k: tuple(verts[k]))
+        assert np.roll(verts, -first, axis=0).tolist() == [
+            [0, 1], [3, 0], [4, 4], [0, 3]]
         assert area == pytest.approx(10.5)
         assert (pts @ normals.T <= offsets + 1e-9).all()
 
     def test_normals_unit_length(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((40, 4))
-        _verts, normals, _offsets, _vol = qhull_hull(pts)
+        _index, normals, _offsets, _vol = qhull_index(pts)
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
 
     def test_degenerate_rejected(self):
         flat = np.array([[x, y, 0.0, 0.0] for x in range(3) for y in range(3)])
         with pytest.raises(GeometryError):
-            qhull_hull(flat)
+            qhull_index(flat)
 
 
 class TestHullFacade4D:

@@ -4,10 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arraymodel.layout import ragged_aranges
 from repro.perf.bitmap import (
-    FlatBitmap,
-    make_accumulator,
-    ragged_aranges,
     union_flat,
     unique_flat,
     unique_lattice_points,
@@ -81,52 +79,6 @@ class TestUniqueLatticePoints:
             unique_lattice_points(np.zeros((3, 2), dtype=np.int64), (4, 4, 4))
 
 
-class TestAccumulators:
-    def test_both_flavors_agree(self):
-        rng = np.random.default_rng(11)
-        batches = [rng.integers(0, 1000, size=200) for _ in range(4)]
-        dense = make_accumulator(1000, max_cells=1 << 20)
-        keyed = make_accumulator(1000, max_cells=10)  # force key fallback
-        for b in batches:
-            dense.add(b)
-            keyed.add(b)
-        expect = np.unique(np.concatenate(batches))
-        assert np.array_equal(dense.to_sorted(), expect)
-        assert np.array_equal(keyed.to_sorted(), expect)
-
-    def test_empty_accumulators(self):
-        assert make_accumulator(10).to_sorted().size == 0
-        assert make_accumulator(10, max_cells=1).to_sorted().size == 0
-
-    def test_flat_bitmap(self):
-        bm = FlatBitmap(20)
-        bm.add(np.array([5, 3, 5]))
-        bm.add(np.empty(0, dtype=np.int64))
-        assert np.array_equal(bm.to_sorted(), [3, 5])
-
-    @given(
-        spans=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=49),
-                      st.integers(min_value=-3, max_value=49)),
-            max_size=12,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_add_spans_matches_naive(self, spans):
-        starts = np.array([s for s, _ in spans], dtype=np.int64)
-        ends = np.array([min(s + e, 49) for s, e in spans], dtype=np.int64)
-        bm = FlatBitmap(50)
-        bm.add_spans(starts, ends)
-        expect = sorted({
-            z for s, e in zip(starts, ends) for z in range(s, e + 1)
-        })
-        assert np.array_equal(bm.to_sorted(), expect)
-        # Key accumulator must agree.
-        key = make_accumulator(50, max_cells=1)
-        key.add_spans(starts, ends)
-        assert np.array_equal(key.to_sorted(), expect)
-
-
 class TestRaggedAranges:
     @given(
         pairs=st.lists(
@@ -144,4 +96,22 @@ class TestRaggedAranges:
             [np.arange(s, s + n) for s, n in pairs] or
             [np.empty(0, dtype=np.int64)]
         )
+        assert np.array_equal(got, expect)
+
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=49),
+                      st.integers(min_value=-3, max_value=49)),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inclusive_spans_match_naive(self, spans):
+        # The raster's span fill: every offset of [starts_i, ends_i].
+        starts = np.array([s for s, _ in spans], dtype=np.int64)
+        ends = np.array([min(s + e, 49) for s, e in spans], dtype=np.int64)
+        got = union_flat([ragged_aranges(starts, ends - starts + 1)], 50)
+        expect = sorted({
+            z for s, e in zip(starts, ends) for z in range(s, e + 1)
+        })
         assert np.array_equal(got, expect)

@@ -2,7 +2,9 @@
 
 CI runs these on numpy 2.2 (whose 1-D ``np.unique`` sorts) and on
 numpy >= 2.3 (whose ``np.unique`` hashes), so the kernel is checked
-against both implementations.
+against both implementations.  The run primitives beside it (segmented
+arange, run detection, range coalescing) and their callers are checked
+here too, against the per-run Python forms they replaced.
 """
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arraymodel.debloated import extents_from_flat_indices
-from repro.arraymodel.layout import sorted_unique
+from repro.arraymodel.debloated import extents_from_flat_indices, merge_extents
+from repro.arraymodel.layout import flat_runs, ragged_aranges, sorted_unique
 from repro.errors import LayoutError
 from repro.perf.bitmap import DENSE_RATIO, unique_flat, unique_lattice_points
+from repro.service.shards import decode_runs, encode_runs
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
@@ -118,3 +121,79 @@ class TestExtentsFromFlatIndices:
         assert extents_from_flat_indices(shuffled, 8) == expect
         assert extents_from_flat_indices(duplicated, 8) == expect
         assert sum(z for _s, z in expect) == 8 * base.size
+
+
+RUNS = st.lists(st.tuples(st.integers(min_value=-50, max_value=200),
+                          st.integers(min_value=-5, max_value=12)),
+                max_size=30)
+
+
+def _merge_extents_loop(extents):
+    """The sort-and-coalesce loop ``merge_extents`` replaced."""
+    merged = []
+    for start, size in sorted((int(s), int(z)) for s, z in extents):
+        if size <= 0:
+            continue
+        if merged and start <= merged[-1][0] + merged[-1][1]:
+            end = max(merged[-1][0] + merged[-1][1], start + size)
+            merged[-1] = (merged[-1][0], end - merged[-1][0])
+        else:
+            merged.append((start, size))
+    return merged
+
+
+class TestRunPrimitives:
+    @given(runs=RUNS)
+    @settings(max_examples=100, deadline=None)
+    def test_ragged_aranges_matches_per_run_arange(self, runs):
+        starts = np.array([s for s, _ in runs], dtype=np.int64)
+        lengths = np.array([n for _, n in runs], dtype=np.int64)
+        expect = np.concatenate(
+            [np.arange(s, s + n, dtype=np.int64) for s, n in runs]
+            + [np.empty(0, dtype=np.int64)])
+        got = ragged_aranges(starts, lengths)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
+
+    @given(values=st.lists(st.integers(min_value=-100, max_value=100),
+                           max_size=120),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_flat_runs_expand_to_the_sorted_set(self, values, seed):
+        arr = np.random.default_rng(seed).permutation(
+            np.asarray(values, dtype=np.int64))
+        starts, lengths = flat_runs(arr)
+        assert np.array_equal(ragged_aranges(starts, lengths),
+                              sorted_unique(arr))
+        # Maximal runs: every run is non-empty and a gap separates runs.
+        assert (lengths > 0).all()
+        assert (starts[1:] > starts[:-1] + lengths[:-1]).all()
+
+    @given(extents=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=120),
+                  st.integers(min_value=-4, max_value=40)),
+        max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_merge_extents_matches_coalesce_loop(self, extents):
+        got = merge_extents(extents)
+        assert got == _merge_extents_loop(extents)
+        assert all(type(v) is int for pair in got for v in pair)
+
+    def test_merge_extents_touching_and_nested(self):
+        extents = [(10, 5), (15, 5), (0, 40), (50, 0), (60, -3), (41, 2),
+                   (45, 10), (47, 1)]
+        assert merge_extents(extents) == _merge_extents_loop(extents)
+        assert merge_extents(extents) == [(0, 40), (41, 2), (45, 10)]
+        assert merge_extents([]) == []
+        assert merge_extents(iter(extents)) == merge_extents(extents)
+
+    @given(runs=RUNS)
+    @settings(max_examples=100, deadline=None)
+    def test_decode_runs_on_overlapping_unsorted_runs(self, runs):
+        wire = [[s, n] for s, n in runs]
+        expect = np.unique(np.concatenate(
+            [np.arange(s, s + n, dtype=np.int64) for s, n in runs]
+            + [np.empty(0, dtype=np.int64)]))
+        got = decode_runs(wire)
+        assert np.array_equal(got, expect)
+        assert decode_runs(encode_runs(got)).tolist() == got.tolist()
