@@ -6,8 +6,8 @@ import DAG — are *whole-program dataflow properties* the test suite can
 only sample.  This package enforces them statically: a project loader
 and import-graph builder, per-file AST visitors with alias resolution,
 a finding model with stable rule IDs, inline suppressions
-(``# kondo: allow[KND00X] reason``), a committed baseline for
-grandfathered findings, and text/JSON/SARIF reporters.
+(``# kondo: allow[KND00X] reason`` — the only way to accept a
+finding), and text/JSON/SARIF reporters.
 
 On top of the per-file rules sits a **project-wide concurrency
 analysis**: per-function lockset/blocking/fork summaries
@@ -22,7 +22,6 @@ Run it as ``kondo check src/repro`` or ``python -m repro.analysis``;
 the rule catalog lives in :mod:`repro.analysis.rules`.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import CallGraph, ConcurrencyContext
 from repro.analysis.engine import CheckResult, main, run_check
 from repro.analysis.imports import ImportEdge, ImportGraph
@@ -32,7 +31,6 @@ from repro.analysis.project import Project, ProjectFile
 from repro.analysis.rulebase import Rule, all_rules, register
 
 __all__ = [
-    "Baseline",
     "CallGraph",
     "CheckResult",
     "ConcurrencyContext",

@@ -1,17 +1,16 @@
 """The check runner: load -> run rules -> suppress -> report.
 
-The run is one serial pass that writes nothing but its report (and the
-baseline, when asked to).  It parses every file in sorted-walk order,
-runs the per-file rules, then the project rules; the flow-aware rules
-build the interprocedural context on first use, so a run that selects
-only per-file rules never summarizes.
+The run is one serial pass that writes nothing but its report.  It
+parses every file in sorted-walk order, runs the per-file rules, then
+the project rules; the flow-aware rules build the interprocedural
+context on first use, so a run that selects only per-file rules never
+summarizes.
 
-Exit codes: 0 clean (every finding suppressed or baselined), 1 when new
-findings remain, 2 when the analyzer itself fails (usage errors, an
-unreadable baseline, an internal crash).  A *rule* raising is not an
-analyzer failure: it becomes a KND000 internal-error finding and the run
-continues.  ``kondo check`` and ``python -m repro.analysis`` are two
-doors into :func:`main`.
+Exit codes: 0 clean (every finding suppressed inline), 1 when findings
+remain, 2 when the analyzer itself fails (usage errors, an internal
+crash).  A *rule* raising is not an analyzer failure: it becomes a
+KND000 internal-error finding and the run continues.  ``kondo check``
+and ``python -m repro.analysis`` are two doors into :func:`main`.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import DEFAULT_BASELINE, Baseline
 from repro.analysis.model import FRAMEWORK_RULE_ID, Finding, Severity
 from repro.analysis.project import Project, discover_sources
 from repro.analysis.report import render_json, render_sarif, render_text
@@ -36,7 +34,6 @@ class CheckResult:
     """Everything one ``kondo check`` run produced."""
 
     new: List[Finding]
-    grandfathered: List[Finding]
     suppressed: List[Finding]
     n_files: int
     rules: List[Rule] = field(default_factory=list)
@@ -59,8 +56,7 @@ def _crash_finding(rule: Rule, path: str, module: str,
 
 
 def run_check(paths: Sequence[str],
-              select: Optional[Sequence[str]] = None,
-              baseline: Optional[Baseline] = None) -> CheckResult:
+              select: Optional[Sequence[str]] = None) -> CheckResult:
     """Run the selected rules over ``paths`` (no reporting/IO)."""
     project = Project.load(paths)
     rules = all_rules()
@@ -111,12 +107,7 @@ def run_check(paths: Sequence[str],
             else:
                 findings.append(f)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    if baseline is not None:
-        new, old = baseline.split(findings)
-    else:
-        new, old = findings, []
-    return CheckResult(new=new, grandfathered=old,
-                       suppressed=suppressed,
+    return CheckResult(new=findings, suppressed=suppressed,
                        n_files=len(project.files), rules=rules)
 
 
@@ -129,14 +120,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         default="text", help="report format")
     parser.add_argument("--output", help="write the report to this file "
                                          "(atomic) instead of stdout")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: "
-                             f"{DEFAULT_BASELINE} when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "and exit 0")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule IDs to run "
                              "(e.g. KND001,KND004)")
@@ -154,16 +137,6 @@ def build_arg_parser(prog: str = "kondo check"
     return parser
 
 
-def _resolve_baseline(args) -> Tuple[Optional[Baseline], Optional[str]]:
-    if args.no_baseline:
-        return None, None
-    path = args.baseline or (
-        DEFAULT_BASELINE if os.path.exists(DEFAULT_BASELINE) else None)
-    if path is None or not os.path.exists(path):
-        return None, path
-    return Baseline.load(path), path
-
-
 def main(argv: Optional[Sequence[str]] = None,
          prog: str = "kondo check") -> int:
     return run_from_args(build_arg_parser(prog).parse_args(argv))
@@ -173,8 +146,8 @@ def run_from_args(args: argparse.Namespace) -> int:
     """Execute a check described by parsed arguments; returns exit code.
 
     The exit-code contract: 0 clean, 1 findings (including a rule crash
-    surfaced as KND000), 2 analyzer failure (usage error, bad baseline,
-    internal crash).
+    surfaced as KND000), 2 analyzer failure (usage error, internal
+    crash).
     """
     if args.list_rules:
         for rule in all_rules():
@@ -189,14 +162,9 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"error: no Python sources under {', '.join(args.paths)}",
               file=sys.stderr)
         return 2
-    try:
-        baseline, baseline_path = _resolve_baseline(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: bad baseline: {exc}", file=sys.stderr)
-        return 2
     select = (args.select.split(",") if args.select else None)
     try:
-        result = run_check(args.paths, select=select, baseline=baseline)
+        result = run_check(args.paths, select=select)
     # kondo: allow[KND003] the CLI boundary: an internal analyzer crash
     # must exit 2 (distinct from "findings" = 1) with a diagnostic, not
     # a bare traceback — the failure is reported, not swallowed
@@ -204,18 +172,10 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"error: internal analyzer failure: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        target = args.baseline or baseline_path or DEFAULT_BASELINE
-        Baseline.from_findings(
-            result.new + result.grandfathered).save(target)
-        print(f"wrote {len(result.new) + len(result.grandfathered)} "
-              f"finding(s) to {target}")
-        return 0
     if args.format == "text":
-        report = render_text(result.new, result.grandfathered,
-                             result.n_files)
+        report = render_text(result.new, result.n_files)
     elif args.format == "json":
-        report = render_json(result.new, result.grandfathered)
+        report = render_json(result.new)
     else:
         report = render_sarif(result.new, result.rules)
     if args.output:

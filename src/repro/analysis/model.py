@@ -2,9 +2,9 @@
 
 A :class:`Finding` is one violation at one source location.  Its
 *fingerprint* deliberately ignores line numbers — it hashes the rule ID,
-the module, and the stripped source line — so a committed baseline keeps
-matching after unrelated edits shift code up or down, while any change to
-the offending line itself surfaces the finding again.
+the module, and the stripped source line — so a code-scanning service
+keeps matching a SARIF result after unrelated edits shift code up or
+down, while any change to the offending line itself is a new result.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ class Finding:
         witness: optional interprocedural evidence chain (call hops and
             ``path:line`` sites) attached by the flow-aware concurrency
             rules; purely informational — never part of the fingerprint,
-            so a refactor that reroutes the chain does not churn the
-            baseline.
+            so a refactor that reroutes the chain does not churn it.
     """
 
     rule_id: str
@@ -72,7 +71,8 @@ class Finding:
     witness: Tuple[str, ...] = field(default=(), compare=False)
 
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file."""
+        """Line-number-independent identity (SARIF
+        ``partialFingerprints``)."""
         raw = f"{self.rule_id}|{self.module}|{self.snippet}"
         return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 

@@ -23,8 +23,7 @@ TOOL_NAME = "kondo-check"
 TOOL_URI = "https://github.com/kondo-repro/kondo"
 
 
-def render_text(new: List[Finding], grandfathered: List[Finding],
-                n_files: int) -> str:
+def render_text(new: List[Finding], n_files: int) -> str:
     parts: List[str] = []
     for f in new:
         parts.append(f.format())
@@ -39,14 +38,11 @@ def render_text(new: List[Finding], grandfathered: List[Finding],
     tail = (f"kondo check: {len(new)} finding(s)"
             f"{' (' + sev_text + ')' if sev_text else ''} "
             f"in {n_files} file(s)")
-    if grandfathered:
-        tail += f"; {len(grandfathered)} baselined finding(s) not shown"
     parts.append(tail)
     return "\n".join(parts)
 
 
-def render_json(new: List[Finding],
-                grandfathered: List[Finding]) -> str:
+def render_json(new: List[Finding]) -> str:
     def encode(f: Finding) -> dict:
         return {
             "rule": f.rule_id,
@@ -60,10 +56,7 @@ def render_json(new: List[Finding],
             "witness": list(f.witness),
             "fingerprint": f.fingerprint(),
         }
-    return json.dumps({
-        "findings": [encode(f) for f in new],
-        "baselined": [encode(f) for f in grandfathered],
-    }, indent=2)
+    return json.dumps({"findings": [encode(f) for f in new]}, indent=2)
 
 
 def render_sarif(new: List[Finding], rules: Sequence[Rule]) -> str:

@@ -15,7 +15,7 @@ Rules can also request **project-level context**:
 * overriding :meth:`Rule.check_project` lets a rule emit findings that
   belong to the whole project rather than any single file — the engine
   calls it exactly once, after the per-file pass, and still routes the
-  findings through inline suppressions and the baseline.
+  findings through inline suppressions.
 
 A rule that raises does not abort the run: the engine converts the crash
 into a KND000 internal-error finding on the offending file (or project)

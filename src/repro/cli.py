@@ -330,7 +330,6 @@ def cmd_serve(args) -> int:
         queue_limit=args.queue_limit,
         lease_ttl_s=args.lease_ttl,
         default_deadline_s=args.deadline,
-        supervised=not args.unsupervised,
         hedge_after_s=args.hedge_after,
         shared_dir=args.fleet,
         worker=args.worker_id,
@@ -591,9 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=600.0,
                    help="default per-attempt wall budget for jobs that "
                         "do not carry their own (default 600)")
-    p.add_argument("--unsupervised", action="store_true",
-                   help="run jobs inline on worker threads instead of "
-                        "in supervised child processes (testing only)")
     p.add_argument("--hedge-after", type=float,
                    help="straggler threshold in seconds: a unit leased "
                         "this long gets a speculative hedged duplicate "

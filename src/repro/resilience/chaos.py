@@ -709,7 +709,6 @@ def _serve_drill_service(state_dir: str, workers: int, shard_runner=None,
         lease_ttl_s=30.0,
         default_deadline_s=60.0,
         heartbeat_interval_s=0.05,
-        supervised=True,
         shard_runner=shard_runner,
         hedge_after_s=hedge_after_s,
     ).start()

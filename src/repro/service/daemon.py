@@ -36,15 +36,17 @@ One :class:`KondoService` runs:
   operation flips the daemon into read-only mode, and the loop probes
   for the store's return with seeded full-jitter backoff, re-enlisting
   (epoch bump) and replaying parked completions on success;
-* a **progress bus**: every transition and (unsupervised) fuzz
-  iteration publishes an event into a bounded per-job ring; ``follow``
-  streams them through bounded per-follower queues with drop-oldest
-  backpressure and ends on the job's terminal event.
+* a **progress bus**: every transition (and every heartbeat of a
+  unit's child, as ``shard-alive``) publishes an event into a bounded
+  per-job ring; ``follow`` streams them through bounded per-follower
+  queues with drop-oldest backpressure and ends on the job's terminal
+  event.
 
 A restart re-enlists under a bumped epoch, which makes every lease the
 dead incarnation held reclaimable at once.  ``drain`` (or SIGTERM)
 stops admission and lets the admitted work finish; ``abort`` is the
 crash path the chaos drills use — the daemon writes nothing more.
+Either way, once the daemon stops no unit child of it is left running.
 """
 
 from __future__ import annotations
@@ -154,22 +156,19 @@ class KondoService:
             beyond it submissions get ``REJECTED-BUSY``.
         retry_policy: per-unit retry budget and backoff shape (also the
             partition-rejoin probe's backoff shape).
-        lease_ttl_s: unit lease lifetime; heartbeats and progress renew
-            it, and an attempt that outlives it fails LEASE-EXPIRED.
+        lease_ttl_s: unit lease lifetime; the unit child's heartbeats
+            renew it, and an attempt that outlives it fails
+            LEASE-EXPIRED.
         default_deadline_s: per-attempt wall budget for jobs that do not
             carry their own ``deadline_s``.
         heartbeat_interval_s: supervised-child heartbeat period and
             registry heartbeat period.
-        supervised: run each unit in a forked, watched child (the
-            production mode).  ``False`` runs inline on the claim
-            thread — faster for unit tests, no isolation, and the only
-            mode with per-iteration progress events (a callback cannot
-            cross the fork boundary).
-        shard_runner: override unit execution (chaos drills inject
-            faulty runners); defaults to
-            :func:`repro.service.shards.execute_shard`.  On the
-            unsupervised path it is called with a ``progress=``
-            keyword, so injected runners must accept it.
+        shard_runner: override unit execution (chaos drills and tests
+            inject faulty runners); defaults to
+            :func:`repro.service.shards.execute_shard`.  It is called as
+            ``(spec_json, shard) -> dict`` in the unit's forked child, so
+            nothing it does reaches the daemon except its pickled
+            return value or exception.
         hedge_after_s: straggler threshold — a unit leased this long
             gets a speculative hedge (first completion wins).  ``None``
             disables hedging.
@@ -197,7 +196,6 @@ class KondoService:
         lease_ttl_s: float = 30.0,
         default_deadline_s: float = DEFAULT_DEADLINE_S,
         heartbeat_interval_s: float = 1.0,
-        supervised: bool = True,
         shard_runner: Optional[Callable[..., dict]] = None,
         hedge_after_s: Optional[float] = None,
         event_buffer: int = 256,
@@ -232,7 +230,6 @@ class KondoService:
         self.lease_ttl_s = lease_ttl_s
         self.default_deadline_s = default_deadline_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.supervised = supervised
         self.shard_runner = shard_runner or execute_shard
         self.hedge_after_s = hedge_after_s
         self.event_buffer = event_buffer
@@ -252,6 +249,9 @@ class KondoService:
         #: are mid-scan (a claim not yet running), both lock-guarded.
         self._attempts: Dict[Tuple[str, int], List[_Attempt]] = {}
         self._scanning = 0
+        #: Seals of this daemon between landing the outcome record and
+        #: publishing the terminal event, per job (lock-guarded too).
+        self._sealing: Dict[str, int] = {}
         self._attempts_lock = threading.Lock()
         #: Completions that hit a partition mid-publish, replayed on
         #: rejoin: [(claim, result)], lock-guarded.
@@ -335,6 +335,14 @@ class KondoService:
 
     def _shutdown(self) -> None:
         self._stop.set()
+        # A stopped daemon leaves no unit running: kill every child now
+        # (its claim thread's supervisor reaps it, so the joins below
+        # return at once); a child forked after this point is killed by
+        # its own spawn hook.
+        with self._attempts_lock:
+            running = [a for live in self._attempts.values() for a in live]
+        for attempt in running:
+            self._kill(attempt)
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -743,7 +751,7 @@ class KondoService:
                 if event["kind"] in TERMINAL_STATES:
                     self._send_line(conn, {"end": event["kind"]})
                     return
-            if view.state in TERMINAL_STATES:
+            if self._sealed_without_event(job_id, view.state, follower):
                 self._send_line(conn, {"end": view.state})
                 return
             last_io = self.clock.monotonic()
@@ -764,7 +772,7 @@ class KondoService:
                             return
                     continue
                 state = getattr(self._view(job_id), "state", None)
-                if state in TERMINAL_STATES and follower.empty():
+                if self._sealed_without_event(job_id, state, follower):
                     self._send_line(conn, {"end": state})
                     return
                 if self.clock.monotonic() - last_io >= KEEPALIVE_S:
@@ -778,6 +786,22 @@ class KondoService:
             return  # follower went away; nothing owed
         finally:
             self._unsubscribe(job_id, follower)
+
+    def _sealed_without_event(self, job_id: str, state: Optional[str],
+                              follower: "queue.Queue") -> bool:
+        """Whether a stream may end on the store's terminal ``state``.
+
+        Only when no terminal event is still coming: none waits in the
+        follower's queue, and no seal of this daemon's has landed its
+        outcome record without yet publishing the event.  The sealer
+        publishes before it clears its mark, so the mark is read first.
+        """
+        if state not in TERMINAL_STATES:
+            return False
+        with self._attempts_lock:
+            if job_id in self._sealing:
+                return False
+        return follower.empty()
 
     @staticmethod
     def _send_line(conn: socket.socket, obj: dict) -> None:
@@ -910,23 +934,18 @@ class KondoService:
                     self._attempts.pop(key, None)
 
     def _call_runner(self, spec: JobSpec, attempt: _Attempt) -> dict:
-        args = (spec.to_json(), attempt.shard)
-        if not self.supervised:
-            def progress(ev: dict) -> None:
-                fields = dict(ev)
-                kind = fields.pop("kind", "progress")
-                fields.setdefault("shard", attempt.shard)
-                self._renew(attempt)
-                self._publish(spec.key, kind, **fields)
-
-            return self.shard_runner(*args, progress=progress)
-
         def on_spawn(pid: int) -> None:
-            attempt.child_pid = pid
+            # Pairs with _shutdown: whichever of the two takes the lock
+            # second sees the other's write, so a child forked as the
+            # daemon stops is killed either here or there.
+            with self._attempts_lock:
+                attempt.child_pid = pid
+                stopped = self._stop.is_set()
+            if stopped:
+                self._kill(attempt)
 
         def on_heartbeat() -> None:
-            # Per-iteration callbacks cannot cross the fork boundary;
-            # the child's heartbeats renew the lease and double as
+            # The child's heartbeats renew the lease and double as
             # liveness progress events.
             self._renew(attempt)
             self._publish(spec.key, "shard-alive", shard=attempt.shard)
@@ -936,7 +955,8 @@ class KondoService:
             heartbeat_interval_s=self.heartbeat_interval_s,
             grace_s=1.0, on_spawn=on_spawn, on_heartbeat=on_heartbeat,
         )
-        return supervisor.bind(self.shard_runner)(*args)
+        return supervisor.bind(self.shard_runner)(spec.to_json(),
+                                                  attempt.shard)
 
     def _renew(self, attempt: _Attempt) -> None:
         """Keep a running attempt's lease fresh; kill it once fenced.
@@ -1025,10 +1045,18 @@ class KondoService:
                 state, result, verdict = DEAD, None, "MERGE-FAILED"
                 fields = {"verdict": verdict,
                           "detail": f"{type(exc).__name__}: {exc}"}
-        landed = self.store.publish_result(view.job_id, result, token,
-                                           state, verdict)
-        if landed:
-            self._publish(view.job_id, state, **fields)
+        with self._attempts_lock:
+            self._sealing[view.job_id] = self._sealing.get(view.job_id, 0) + 1
+        try:
+            landed = self.store.publish_result(view.job_id, result, token,
+                                               state, verdict)
+            if landed:
+                self._publish(view.job_id, state, **fields)
+        finally:
+            with self._attempts_lock:
+                left = self._sealing.pop(view.job_id) - 1
+                if left:
+                    self._sealing[view.job_id] = left
         return landed
 
     # -- hedging -------------------------------------------------------------

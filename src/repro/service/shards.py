@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -175,35 +175,14 @@ def decode_runs(runs: List[List[int]]) -> np.ndarray:
 # -- shard execution ---------------------------------------------------------
 
 
-class _ProgressProbe:
-    """Wrap a debloat test to emit one progress event per iteration."""
-
-    def __init__(self, test: Callable, slice_index: int,
-                 emit: Callable[[dict], None]):
-        self._test = test
-        self._slice = slice_index
-        self._emit = emit
-        self._calls = 0
-
-    def __call__(self, *args, **kwargs):
-        out = self._test(*args, **kwargs)
-        self._calls += 1
-        self._emit({"kind": "iteration", "slice": self._slice,
-                    "iteration": self._calls})
-        return out
-
-
-def _run_slice(spec: JobSpec, slc: ShardSlice,
-               progress: Optional[Callable[[dict], None]]):
+def _run_slice(spec: JobSpec, slc: ShardSlice):
     """Run one slice's mini campaign; returns its FuzzCampaignResult."""
     program = get_program(spec.program)
     fuzz = replace(FuzzConfig(rng_seed=slc.seed), max_iter=slc.max_iter)
     kondo = Kondo(program, spec.dims, fuzz_config=fuzz, carver=spec.carver)
     test = kondo.make_test()
-    call = (test if progress is None
-            else _ProgressProbe(test, slc.index, progress))
     space = program.parameter_space(kondo.dims)
-    schedule = FuzzSchedule(call, space, kondo.fuzz_config, test.n_flat)
+    schedule = FuzzSchedule(test, space, kondo.fuzz_config, test.n_flat)
     return schedule.run(time_budget_s=slc.budget_s)
 
 
@@ -236,15 +215,14 @@ def result_digest(result) -> dict:
                    result.observed_flat, result.carve)
 
 
-def execute_shard(spec_json: dict, shard_index: int,
-                  progress: Optional[Callable[[dict], None]] = None) -> dict:
+def execute_shard(spec_json: dict, shard_index: int) -> dict:
     """Run one shard's slices; return its point cloud + stats.
 
     Pure: spec in, result out, no daemon state — so a retried or hedged
     attempt produces a bit-identical result (no timings in the payload,
-    ``cloud_sha256`` pins the offset set).  ``progress`` (unsupervised
-    path only) is called once per fuzz iteration and once per finished
-    slice.
+    ``cloud_sha256`` pins the offset set).  The daemon calls it in a
+    supervised forked child, so the result travels back pickled and
+    nothing else the call does is seen by the daemon.
     """
     spec = JobSpec.from_json(spec_json)
     plan = plan_shards(spec)
@@ -253,13 +231,10 @@ def execute_shard(spec_json: dict, shard_index: int,
     iterations = 0
     n_useful = 0
     for slc in slices:
-        fuzz = _run_slice(spec, slc, progress)
+        fuzz = _run_slice(spec, slc)
         clouds.append(np.asarray(fuzz.flat_indices, dtype=np.int64))
         iterations += int(fuzz.iterations)
         n_useful += int(fuzz.n_useful)
-        if progress is not None:
-            progress({"kind": "slice-done", "slice": slc.index,
-                      "iterations": iterations})
     union = (sorted_unique(np.concatenate(clouds)) if clouds
              else np.empty(0, dtype=np.int64))
     return {

@@ -28,7 +28,7 @@ def make_tree(tmp_path, files: Dict[str, str]) -> str:
 
 def check_tree(tmp_path, files: Dict[str, str],
                select=None) -> List[Finding]:
-    """Build a fixture tree and return its (unbaselined) findings."""
+    """Build a fixture tree and return its findings."""
     root = make_tree(tmp_path, files)
     return run_check([root], select=select).new
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 from repro import cli
-from repro.analysis import Baseline, main as check_main, run_check
+from repro.analysis import main as check_main, run_check
 from tests.analysis.helpers import make_tree, real_src
 
 DIRTY = {
@@ -21,21 +21,21 @@ DIRTY = {
 
 class TestCheckCli:
     def test_kondo_check_clean_tree_exits_zero(self, capsys):
-        rc = cli.main(["check", real_src(), "--no-baseline"])
+        rc = cli.main(["check", real_src()])
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 finding(s)" in out
 
     def test_engine_main_dirty_tree_exits_one(self, tmp_path, capsys):
         root = make_tree(tmp_path, DIRTY)
-        rc = check_main([root, "--no-baseline"])
+        rc = check_main([root])
         out = capsys.readouterr().out
         assert rc == 1
         assert "KND002" in out
 
     def test_json_format_parses(self, tmp_path, capsys):
         root = make_tree(tmp_path, DIRTY)
-        rc = check_main([root, "--no-baseline", "--format", "json"])
+        rc = check_main([root, "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert doc["findings"][0]["rule"] == "KND002"
@@ -43,7 +43,7 @@ class TestCheckCli:
     def test_output_file_is_written(self, tmp_path, capsys):
         root = make_tree(tmp_path, DIRTY)
         report = tmp_path / "report.sarif"
-        rc = check_main([root, "--no-baseline", "--format", "sarif",
+        rc = check_main([root, "--format", "sarif",
                          "--output", str(report)])
         capsys.readouterr()
         assert rc == 1
@@ -68,23 +68,13 @@ class TestCheckCli:
                 "    return open(path, 'w').write('x')\n"
             ),
         })
-        rc = check_main([root, "--no-baseline", "--select", "KND006"])
+        rc = check_main([root, "--select", "KND006"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "KND006" in out and "KND002" not in out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY)
-        bl = str(tmp_path / "bl.json")
-        rc = check_main([root, "--baseline", bl, "--write-baseline"])
-        assert rc == 0
-        rc = check_main([root, "--baseline", bl])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "baselined finding(s) not shown" in out
-
     def test_missing_path_is_usage_error(self, capsys):
-        rc = check_main(["definitely/not/a/path", "--no-baseline"])
+        rc = check_main(["definitely/not/a/path"])
         capsys.readouterr()
         assert rc == 2
 
@@ -122,14 +112,6 @@ class TestSelfClean:
         assert result.new == [], "\n".join(f.format() for f in result.new)
         assert result.n_files > 100
 
-    def test_committed_baseline_is_empty_for_knd001_knd002(self):
-        repo_root = os.path.dirname(os.path.dirname(real_src()))
-        path = os.path.join(repo_root, ".kondo-baseline.json")
-        baseline = Baseline.load(path)
-        present = baseline.rules_present()
-        assert present.get("KND001", 0) == 0
-        assert present.get("KND002", 0) == 0
-
 
 class TestSerialPass:
     def test_check_leaves_cwd_untouched(self, tmp_path, tmp_path_factory,
@@ -138,7 +120,7 @@ class TestSerialPass:
         root = make_tree(tmp_path_factory.mktemp("tree"), DIRTY)
         monkeypatch.chdir(tmp_path)
         before = sorted(os.listdir(tmp_path))
-        rc = check_main([root, "--no-baseline"])
+        rc = check_main([root])
         capsys.readouterr()
         assert rc == 1
         assert sorted(os.listdir(tmp_path)) == before
@@ -177,7 +159,7 @@ class TestExitCodeContract:
             root = make_tree(tmp_path, {
                 "repro/core/mod.py": "def fine():\n    return 1\n",
             })
-            rc = check_main([root, "--no-baseline", "--select", "KND900"])
+            rc = check_main([root, "--select", "KND900"])
             out = capsys.readouterr().out
             assert rc == 1
             assert "KND000" in out
@@ -207,7 +189,7 @@ class TestExitCodeContract:
             root = make_tree(tmp_path, {
                 "repro/core/mod.py": "def fine():\n    return 1\n",
             })
-            rc = check_main([root, "--no-baseline", "--select", "KND901"])
+            rc = check_main([root, "--select", "KND901"])
             out = capsys.readouterr().out
             assert rc == 1
             assert "KND000" in out and "project boom" in out
@@ -223,7 +205,7 @@ class TestExitCodeContract:
 
         monkeypatch.setattr(engine, "run_check", explode)
         root = make_tree(tmp_path, DIRTY)
-        rc = check_main([root, "--no-baseline"])
+        rc = check_main([root])
         err = capsys.readouterr().err
         assert rc == 2
         assert "internal analyzer failure" in err
@@ -237,7 +219,7 @@ class TestExitCodeContract:
         empty = tmp_path / "empty"
         empty.mkdir()
         for target in (readme, empty):
-            rc = check_main([str(target), "--no-baseline"])
+            rc = check_main([str(target)])
             captured = capsys.readouterr()
             assert rc == 2
             assert captured.out == ""
@@ -248,7 +230,7 @@ class TestExitCodeContract:
         root = make_tree(tmp_path, {
             "repro/core/broken.py": "def oops(:\n    pass\n",
         })
-        rc = check_main([root, "--no-baseline"])
+        rc = check_main([root])
         out = capsys.readouterr().out
         assert rc == 1
         assert "KND000" in out and "could not parse" in out

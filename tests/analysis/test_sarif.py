@@ -54,8 +54,25 @@ class TestSarifShape:
 
     def test_json_report_parses_and_mirrors_findings(self, tmp_path):
         result, _ = self._doc(tmp_path)
-        doc = json.loads(render_json(result.new, result.grandfathered))
+        doc = json.loads(render_json(result.new))
+        assert list(doc) == ["findings"]
         assert len(doc["findings"]) == len(result.new)
-        assert doc["baselined"] == []
         assert doc["findings"][0]["rule"] == "KND002"
         assert doc["findings"][0]["fingerprint"]
+
+    def test_fingerprint_survives_line_shift(self, tmp_path):
+        """A SARIF result keeps its fingerprint when unrelated edits move
+        the offending line."""
+        first, doc = self._doc(tmp_path)
+        source = DIRTY["repro/core/mod.py"]
+        shifted = {"repro/core/mod.py": "import os\n\n\n" + source}
+        second = run_check([make_tree(tmp_path, shifted)])
+        moved = json.loads(render_sarif(second.new, second.rules))
+        assert [f.line for f in second.new] \
+            == [f.line + 3 for f in first.new]
+
+        def prints(d):
+            return [r["partialFingerprints"]["kondoFingerprint/v1"]
+                    for r in d["runs"][0]["results"]]
+
+        assert prints(moved) == prints(doc)

@@ -1,15 +1,17 @@
-"""Socket-level daemon tests with an injected (inline) shard runner.
+"""Socket-level daemon tests with an injected shard runner.
 
-``supervised=False`` runs units inline on worker threads — no forking —
-so these tests exercise the daemon's own machinery (admission control,
-lease expiry, retry scheduling, drain, the wire protocol) fast; the
-forked path is covered by the service chaos drills.  The jobs here are
-unsharded, so each is one unit whose injected result is merged (one
-carve of a one-point cloud) into the sealed digest; the fake runners
-tag each attempt through the ``iterations`` the digest carries.
+Every unit runs in a supervised forked child, exactly as in
+production, so these tests exercise the daemon's own machinery
+(admission control, lease expiry, retry scheduling, drain, shutdown,
+the wire protocol) on the path users run.  The jobs here are unsharded,
+so each is one unit whose injected result is merged (one carve of a
+one-point cloud) into the sealed digest; the fake runners tag each
+attempt through the ``iterations`` the digest carries, and coordinate
+with the test through the fork-safe ``marks`` fixture.
 """
 
 import socket
+import threading
 import time
 
 import pytest
@@ -18,6 +20,8 @@ from repro import FuzzConfig, Kondo, get_program
 from repro.errors import JobRejectedError, ServiceError, ServiceProtocolError
 from repro.resilience.retry import RetryPolicy
 from repro.service import JobSpec, KondoService, ServiceClient, result_digest
+from repro.service.shards import execute_shard
+from tests.service.conftest import child_pids
 
 DIMS = (16, 16)
 
@@ -35,11 +39,11 @@ def unit(iterations):
     return {"cloud": [[0, 1]], "iterations": iterations, "n_useful": 0}
 
 
-def echo_seed(sj, shard, progress=None):
+def echo_seed(sj, shard):
     return unit(sj["seed"])
 
 
-def nothing(sj, shard, progress=None):
+def nothing(sj, shard):
     return unit(0)
 
 
@@ -48,8 +52,7 @@ def make_service(tmp_path, runner, **kw):
     kw.setdefault("queue_limit", 4)
     kw.setdefault("retry_policy", FAST_RETRY)
     kw.setdefault("drain_timeout_s", 10.0)
-    return KondoService(str(tmp_path), supervised=False,
-                        shard_runner=runner, **kw)
+    return KondoService(str(tmp_path), shard_runner=runner, **kw)
 
 
 @pytest.fixture
@@ -170,14 +173,12 @@ class TestCancel:
 
 
 class TestRetryAndDeadLetter:
-    def test_transient_failure_retries_to_success(self, tmp_path):
-        attempts = []
-
-        def flaky(sj, shard, progress=None):
-            attempts.append(1)
-            if len(attempts) == 1:
+    def test_transient_failure_retries_to_success(self, tmp_path, marks):
+        def flaky(sj, shard):
+            marks.append("attempts", shard)
+            if len(marks.values("attempts")) == 1:
                 raise RuntimeError("transient worker death")
-            return unit(len(attempts))
+            return unit(len(marks.values("attempts")))
 
         svc = make_service(tmp_path, flaky).start()
         try:
@@ -193,7 +194,7 @@ class TestRetryAndDeadLetter:
             svc.abort()
 
     def test_budget_exhaustion_dead_letters(self, tmp_path):
-        def always_dies(sj, shard, progress=None):
+        def always_dies(sj, shard):
             raise RuntimeError("deterministic failure")
 
         svc = make_service(tmp_path, always_dies).start()
@@ -211,20 +212,20 @@ class TestRetryAndDeadLetter:
 
 class TestLeaseExpiry:
     def test_expired_lease_requeues_and_never_double_completes(
-            self, tmp_path):
+            self, tmp_path, marks):
         """A worker that outlives its lease gets its result dropped; the
         retried attempt owns the only complete record."""
-        finished = []
 
-        def slow_then_fast(sj, shard, progress=None):
-            if not finished:
-                finished.append(1)
+        def slow_then_fast(sj, shard):
+            if marks.claim("first"):
                 time.sleep(1.0)  # far past the 0.15s lease ttl
                 return unit(1)  # the stale attempt
             return unit(2)  # the retry
 
-        svc = make_service(tmp_path, slow_then_fast,
-                           lease_ttl_s=0.15).start()
+        # The child's first heartbeat comes at once and the next only
+        # after the sleep, so no renewal outruns the 0.15s ttl.
+        svc = make_service(tmp_path, slow_then_fast, lease_ttl_s=0.15,
+                           heartbeat_interval_s=5.0).start()
         try:
             client = client_of(svc)
             job = client.submit(spec())["job"]
@@ -251,8 +252,7 @@ class TestDrain:
         client = client_of(svc)
         jobs = [client.submit(spec(seed=i))["job"] for i in range(3)]
         svc.abort()  # crash
-        restarted = make_service(
-            tmp_path, lambda sj, shard, progress=None: unit(7)).start()
+        restarted = make_service(tmp_path, lambda sj, shard: unit(7)).start()
         try:
             client = client_of(restarted)
             for job in jobs:
@@ -299,7 +299,7 @@ class TestOneExecutionPath:
         """An unsharded job is a one-slice plan: its sealed result is
         the digest a plain ``Kondo.analyze`` of the same Θ gives."""
         job_spec = spec(seed=3)
-        svc = KondoService(str(tmp_path), supervised=False, workers=1,
+        svc = KondoService(str(tmp_path), workers=1,
                            retry_policy=FAST_RETRY).start()
         try:
             client = client_of(svc)
@@ -315,10 +315,16 @@ class TestOneExecutionPath:
             svc.abort()
 
     def test_unsharded_follow_streams_unit_progress(self, tmp_path):
-        """Unsupervised, an unsharded job streams the same unit events
-        and per-iteration progress a shard does."""
-        svc = KondoService(str(tmp_path), supervised=False, workers=1,
-                           retry_policy=FAST_RETRY).start()
+        """An unsharded job streams the same unit events a shard does:
+        leased, the child's liveness beats, done, then the seal."""
+
+        def beating(sj, shard):
+            time.sleep(0.3)  # several heartbeats of the child
+            return execute_shard(sj, shard)
+
+        svc = KondoService(str(tmp_path), workers=1, shard_runner=beating,
+                           retry_policy=FAST_RETRY,
+                           heartbeat_interval_s=0.05).start()
         try:
             client = client_of(svc)
             job = client.submit(spec(seed=4))["job"]
@@ -326,13 +332,12 @@ class TestOneExecutionPath:
                       if ev["kind"] != "keepalive"]
             kinds = [ev["kind"] for ev in events]
             order = [kinds.index(k) for k in (
-                "shard-leased", "iteration", "slice-done", "shard-done")]
+                "shard-leased", "shard-alive", "shard-done")]
             assert order == sorted(order)
             assert "submitted" in kinds
             assert kinds[-2:] == ["done", "end"]
             assert all(ev["shard"] == 0 for ev in events
-                       if ev["kind"].startswith("shard-")
-                       or ev["kind"] in ("iteration", "slice-done"))
+                       if ev["kind"].startswith("shard-"))
         finally:
             svc.abort()
 
@@ -355,13 +360,12 @@ class TestOneExecutionPath:
         with pytest.raises(ServiceError, match="jobs.log"):
             svc.start()
 
-    def test_dedupe_survives_restart(self, tmp_path):
+    def test_dedupe_survives_restart(self, tmp_path, marks):
         """The outcome record is the dedupe record: after a restart an
         identical submission is served the result without re-running."""
-        ran = []
 
-        def runner(sj, shard, progress=None):
-            ran.append(sj["seed"])
+        def runner(sj, shard):
+            marks.append("ran", sj["seed"])
             return unit(sj["seed"])
 
         svc = make_service(tmp_path, runner).start()
@@ -376,6 +380,107 @@ class TestOneExecutionPath:
             served = client_of(again).submit(spec(seed=5))
             assert served["deduped"]
             assert served["result"]["iterations"] == 5
-            assert ran == [5]  # the campaign ran exactly once
+            # The campaign ran exactly once.
+            assert marks.values("ran") == ["5"]
         finally:
             again.abort()
+
+
+def parks(marks):
+    """A runner whose child marks itself running, then parks."""
+    def runner(sj, shard):
+        marks.set("parked")
+        time.sleep(60.0)  # only a kill ends it
+        return unit(0)
+    return runner
+
+
+def wait_for_child(svc, job, timeout_s=15.0):
+    """The pid of the child running the job's unit, from ``status``."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        pid = client_of(svc).status(job)["child_pid"]
+        if pid:
+            return pid
+        time.sleep(0.02)
+    return None
+
+
+class TestShutdownReapsChildren:
+    @pytest.mark.parametrize("stop", ["abort", "drain"])
+    def test_stop_kills_and_reaps_a_parked_child(self, tmp_path, marks,
+                                                 stop):
+        """A stopped daemon — crashed, or drained past its timeout —
+        leaves no unit child running, and a parked child does not hold
+        the stop for the claim-thread join."""
+        svc = make_service(tmp_path, parks(marks),
+                           drain_timeout_s=0.2).start()
+        job = client_of(svc).submit(spec())["job"]
+        assert marks.wait("parked")
+        pid = wait_for_child(svc, job)
+        assert pid in child_pids()
+        started = time.monotonic()
+        getattr(svc, stop)()
+        assert time.monotonic() - started < 1.0 + svc.drain_timeout_s
+        assert pid not in child_pids()
+
+    def test_unit_forked_after_stop_does_not_outlive_it(self, tmp_path,
+                                                        marks):
+        """The daemon stops between claiming a unit and forking its
+        child: the child is killed as it spawns, and the claim loop
+        exits instead of watching it run."""
+        svc = make_service(tmp_path, parks(marks))
+        real_claim = svc.store.claim_shard
+        claimed = threading.Event()
+
+        def claim_then_stop(job):
+            claim = real_claim(job)
+            if claim is not None:
+                svc._stop.set()
+                claimed.set()
+            return claim
+
+        svc.store.claim_shard = claim_then_stop
+        svc.start()
+        loops = [t for t in svc._threads if "worker" in t.name]
+        try:
+            client_of(svc).submit(spec())
+            assert claimed.wait(timeout=15.0)
+            loops[0].join(timeout=1.0)
+            assert not loops[0].is_alive()
+        finally:
+            svc.abort()
+
+
+class TestFollowEndsOnTheLocalSeal:
+    def test_stream_carries_the_terminal_event_of_a_slow_seal(
+            self, tmp_path, marks):
+        """The outcome record lands before the sealer publishes its
+        terminal event; a follower idling in between must wait for the
+        event instead of ending on the store's state alone."""
+
+        def gated(sj, shard):
+            assert marks.wait("go")
+            return unit(3)
+
+        svc = make_service(tmp_path, gated)
+        real_publish = svc.store.publish_result
+
+        def slow_publish(*args, **kwargs):
+            landed = real_publish(*args, **kwargs)
+            time.sleep(0.5)  # several idle ticks of the follower
+            return landed
+
+        svc.store.publish_result = slow_publish
+        svc.start()
+        try:
+            client = client_of(svc)
+            job = client.submit(spec())["job"]
+            stream = client.follow(job, timeout_s=30.0)
+            kinds = [next(stream)["kind"]]  # subscribed from here on
+            marks.set("go")
+            kinds += [ev["kind"] for ev in stream]
+            assert kinds[-2:] == ["done", "end"]
+            assert kinds.count("done") == 1
+        finally:
+            svc.abort()

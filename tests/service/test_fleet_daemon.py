@@ -1,11 +1,12 @@
 """Multi-daemon fleet campaigns over one shared store.
 
-These run real :class:`KondoService` daemons (threads + unix sockets)
-pointed at one shared store (``shared_dir``, the ``--fleet`` option), with short lease/registry TTLs so failover is
-fast.  The two headline scenarios from the PR's acceptance criteria —
-a daemon killed mid-campaign and a daemon partitioned from the store —
-both must end with a merged digest bit-identical to the single-host
-reference and a clean token audit (zero double-executed shards).
+These run real :class:`KondoService` daemons (threads + unix sockets,
+each unit in a supervised forked child) pointed at one shared store
+(``shared_dir``, the ``--fleet`` option), with short lease/registry
+TTLs so failover is fast.  The two headline scenarios — a daemon killed
+mid-campaign and a daemon partitioned from the store — both must end
+with a merged digest bit-identical to the single-host reference and a
+clean token audit (zero double-executed shards).
 """
 
 import time
@@ -42,7 +43,6 @@ def make_daemon(tmp_path, name, **kw):
     kw.setdefault("registry_ttl_s", 1.0)
     kw.setdefault("heartbeat_interval_s", 0.1)
     kw.setdefault("retry_policy", FAST_RETRY)
-    kw.setdefault("supervised", False)
     return KondoService(str(tmp_path / name),
                         shared_dir=str(tmp_path / "shared"), worker=name,
                         **kw)
@@ -127,7 +127,8 @@ class TestFleetCampaign:
 
 
 class TestDaemonKilledMidCampaign:
-    def test_survivor_completes_with_reference_digest(self, tmp_path):
+    def test_survivor_completes_with_reference_digest(self, tmp_path,
+                                                      marks):
         """Kill beta while it holds a lease: its store connection is
         severed (every op fails, like a yanked mount) and the process
         "dies" (abort = heartbeats stop).  Alpha must reclaim beta's
@@ -135,10 +136,9 @@ class TestDaemonKilledMidCampaign:
         the token audit proving no shard executed twice."""
         reference = run_sharded_reference(spec(shards=2))
         gate = PartitionGate()
-        claimed = []
 
-        def slow_runner(spec_json, shard, progress=None):
-            claimed.append(shard)
+        def slow_runner(spec_json, shard):
+            marks.append("claimed", shard)
             time.sleep(0.4)  # hold the lease long enough to die with it
             return execute_shard(spec_json, shard)
 
@@ -149,7 +149,7 @@ class TestDaemonKilledMidCampaign:
             # Submitted through beta, whose claim loop wakes on its own
             # submissions, so beta holds a lease when it dies.
             job = client_of(beta).submit(spec(shards=2))["job"]
-            assert wait_until(lambda: claimed), \
+            assert wait_until(lambda: marks.values("claimed")), \
                 "beta never claimed a shard"
             gate.begin()  # sever beta's store...
             beta.abort()  # ...and kill the daemon
@@ -217,7 +217,7 @@ class TestCrossHostHedging:
         shows exactly one landed completion."""
         reference = run_sharded_reference(spec(shards=1))
 
-        def stalled_runner(spec_json, shard, progress=None):
+        def stalled_runner(spec_json, shard):
             time.sleep(4.0)
             return execute_shard(spec_json, shard)
 

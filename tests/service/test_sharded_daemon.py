@@ -1,13 +1,12 @@
 """Daemon-level sharded campaigns: recovery, hedging, PARTIAL, streaming.
 
-Like ``test_daemon.py`` these run ``supervised=False`` so shards execute
-inline on worker threads; the forked/SIGKILL paths are exercised by the
-service chaos drills.
+Like ``test_daemon.py`` every shard runs in a supervised forked child,
+as in production; parked or counting runners coordinate with the test
+through the fork-safe ``marks`` fixture.
 """
 
 import queue
 import sys
-import threading
 import time
 
 import pytest
@@ -44,7 +43,7 @@ def make_service(tmp_path, **kw):
     kw.setdefault("queue_limit", 4)
     kw.setdefault("retry_policy", FAST_RETRY)
     kw.setdefault("drain_timeout_s", 10.0)
-    return KondoService(str(tmp_path), supervised=False, **kw)
+    return KondoService(str(tmp_path), **kw)
 
 
 def client_of(svc, timeout_s=5.0):
@@ -106,32 +105,28 @@ class TestShardedCampaign:
         finally:
             svc.abort()
 
-    def test_expired_shard_lease_requeues_only_that_shard(self, tmp_path):
+    def test_expired_shard_lease_requeues_only_that_shard(self, tmp_path,
+                                                          marks):
         # Shard 1's first attempt parks past the lease TTL; the sweeper
         # expires it and only shard 1 is retried.
-        parked = threading.Event()
-        release = threading.Event()
-        seen = []
-        lock = threading.Lock()
 
-        def runner(spec_json, shard, progress=None):
-            with lock:
-                seen.append(shard)
-                first = seen.count(shard) == 1
-            if shard == 1 and first:
-                parked.set()
-                release.wait(timeout=30.0)
+        def runner(spec_json, shard):
+            if shard == 1 and marks.claim("shard1-first"):
+                marks.set("parked")
+                marks.wait("release", timeout_s=30.0)
             from repro.service.shards import execute_shard
             return execute_shard(spec_json, shard)
 
-        svc = make_service(tmp_path, shard_runner=runner,
-                           lease_ttl_s=0.2).start()
+        # The parked child's first heartbeat comes at once and the next
+        # only long after the 0.2s ttl, so no renewal keeps it leased.
+        svc = make_service(tmp_path, shard_runner=runner, lease_ttl_s=0.2,
+                           heartbeat_interval_s=5.0).start()
         try:
             client = client_of(svc)
             job = client.submit(spec(shards=3))["job"]
-            assert parked.wait(timeout=10.0)
+            assert marks.wait("parked", timeout_s=10.0)
             final = client.wait_for(job, timeout_s=60.0)
-            release.set()
+            marks.set("release")
             assert final["state"] == "done"
             assert final["result"] == run_sharded_reference(spec(shards=1))
             view = svc.store.view(job)
@@ -141,26 +136,18 @@ class TestShardedCampaign:
             assert view.shards[2].verdicts == []
             assert landed_events(svc, job) == [1, 1, 1]
         finally:
-            release.set()
+            marks.set("release")
             svc.abort()
 
-    def test_straggler_hedge_first_completion_wins(self, tmp_path):
+    def test_straggler_hedge_first_completion_wins(self, tmp_path, marks):
         # Shard 0's primary parks; the straggler sweeper launches a
         # hedge which finishes first, and the result is still
         # bit-identical (no double-counted shard).
-        parked = threading.Event()
-        release = threading.Event()
-        first = threading.Lock()
-        claimed = []
 
-        def runner(spec_json, shard, progress=None):
-            if shard == 0:
-                with first:
-                    mine = not claimed
-                    claimed.append(1)
-                if mine:
-                    parked.set()
-                    release.wait(timeout=30.0)
+        def runner(spec_json, shard):
+            if shard == 0 and marks.claim("shard0-primary"):
+                marks.set("parked")
+                marks.wait("release", timeout_s=30.0)
             from repro.service.shards import execute_shard
             return execute_shard(spec_json, shard)
 
@@ -169,7 +156,7 @@ class TestShardedCampaign:
         try:
             client = client_of(svc)
             job = client.submit(spec(shards=2))["job"]
-            assert parked.wait(timeout=10.0)
+            assert marks.wait("parked", timeout_s=10.0)
             final = client.wait_for(job, timeout_s=60.0)
             assert final["state"] == "done"
             assert final["result"] == run_sharded_reference(spec(shards=1))
@@ -180,11 +167,11 @@ class TestShardedCampaign:
             # The revoked straggler burned no retry budget.
             assert svc.store.view(job).shards[0].verdicts == []
         finally:
-            release.set()
+            marks.set("release")
             svc.abort()
 
     def test_dead_shard_yields_partial_with_manifest(self, tmp_path):
-        def runner(spec_json, shard, progress=None):
+        def runner(spec_json, shard):
             if shard == 2:
                 raise ValueError("synthetic shard fault")
             from repro.service.shards import execute_shard
@@ -208,7 +195,7 @@ class TestShardedCampaign:
             svc.abort()
 
     def test_all_shards_dead_is_a_dead_job(self, tmp_path):
-        def runner(spec_json, shard, progress=None):
+        def runner(spec_json, shard):
             raise ValueError("synthetic shard fault")
 
         svc = make_service(tmp_path, shard_runner=runner).start()
@@ -221,36 +208,32 @@ class TestShardedCampaign:
         finally:
             svc.abort()
 
-    def test_restart_requeues_only_lost_shards(self, tmp_path):
+    def test_restart_requeues_only_lost_shards(self, tmp_path, marks):
         # First daemon: shard 0 lands, then the daemon dies abruptly
-        # with shard 1 leased.  The restarted daemon re-runs only the
-        # lost shards and the merged result matches the reference.
-        landed = threading.Event()
-        hang = threading.Event()
+        # with shard 1 leased (its parked child dies with it).  The
+        # restarted daemon re-runs only the lost shards and the merged
+        # result matches the reference.
 
-        def crashy(spec_json, shard, progress=None):
+        def crashy(spec_json, shard):
             from repro.service.shards import execute_shard
             if shard == 0:
                 out = execute_shard(spec_json, shard)
-                landed.set()
+                marks.set("landed")
                 return out
-            hang.wait(timeout=30.0)
+            time.sleep(60.0)  # parked: the abort kills this child
             raise ValueError("daemon died first")
 
         svc = make_service(tmp_path, workers=1, shard_runner=crashy).start()
         job = client_of(svc).submit(spec(shards=3))["job"]
-        assert landed.wait(timeout=30.0)
+        assert marks.wait("landed", timeout_s=30.0)
         deadline = time.monotonic() + 10.0
         while (svc.store.read_done(job, 0) is None
                and time.monotonic() < deadline):
             time.sleep(0.02)
-        hang.set()
         svc.abort()
 
-        runs = []
-
-        def counting(spec_json, shard, progress=None):
-            runs.append(shard)
+        def counting(spec_json, shard):
+            marks.append("runs", shard)
             from repro.service.shards import execute_shard
             return execute_shard(spec_json, shard)
 
@@ -259,6 +242,7 @@ class TestShardedCampaign:
             final = client_of(svc2).wait_for(job, timeout_s=60.0)
             assert final["state"] == "done"
             assert final["result"] == run_sharded_reference(spec(shards=1))
+            runs = [int(shard) for shard in marks.values("runs")]
             assert 0 not in runs  # the landed shard was never re-run
             assert sorted(set(runs)) == [1, 2]
         finally:
@@ -308,7 +292,7 @@ class TestStreamingProgress:
                     self.terminal_seen = True
                 return event
 
-        def slow_runner(spec_json, shard, progress=None):
+        def slow_runner(spec_json, shard):
             time.sleep(0.3)  # the follower subscribes before the end
             from repro.service.shards import execute_shard
             return execute_shard(spec_json, shard)
