@@ -82,15 +82,16 @@ def as_recorder(recorder) -> Optional[Recorder]:
 
 
 def meta_crc32(body: dict) -> int:
-    """CRC32 of a header body's canonical JSON form.
+    """CRC32 of a header body's canonical JSON form (sorted keys, no
+    whitespace).
 
-    The body is round-tripped through JSON first so the checksum a writer
-    stores and the checksum a reader recomputes are taken over byte-
-    identical serializations (tuples become lists, key order is fixed).
+    ``body`` is JSON-native with ``str`` keys (dicts, lists or tuples,
+    ints, strs, floats, None), as every header writer builds it.  ``json``
+    writes a tuple as the list a reader parses back, so the checksum a
+    writer stores and the one a reader recomputes from the parsed header
+    are taken over byte-identical text without a JSON round trip.
     """
-    canonical = json.dumps(
-        json.loads(json.dumps(body)), sort_keys=True, separators=(",", ":")
-    )
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(canonical.encode("utf-8"))
 
 

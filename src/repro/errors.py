@@ -56,6 +56,11 @@ class FuzzConfigError(KondoError):
     """A fuzzing/carving configuration value is out of range."""
 
 
+class BitGeneratorError(FuzzConfigError):
+    """The fuzzer was handed a bit generator whose raw words it cannot
+    decode the way ``numpy.random.Generator`` would."""
+
+
 class ResilienceConfigError(KondoError):
     """A resilience-layer configuration value is out of range."""
 

@@ -12,6 +12,7 @@ Defaults reproduce the configuration the paper evaluates with:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -70,8 +71,10 @@ class FuzzConfig:
             raise FuzzConfigError("u_reps/n_reps must be non-negative")
         for name, interval in (("u_dist", self.u_dist), ("n_dist", self.n_dist)):
             lo, hi = interval
-            if not (0 <= lo <= hi):
-                raise FuzzConfigError(f"{name} must satisfy 0 <= lo <= hi, got {interval}")
+            # An infinite frame has no uniform draw (numpy's ``uniform``
+            # raises on it; the mutation decode would return inf/nan).
+            if not (0 <= lo <= hi) or not math.isfinite(hi):
+                raise FuzzConfigError(f"{name} must satisfy 0 <= lo <= hi < inf, got {interval}")
         if self.diameter <= 0:
             raise FuzzConfigError(f"diameter must be positive, got {self.diameter}")
         if self.restart <= 0:

@@ -61,25 +61,21 @@ class ParameterSpace:
     """The full ``Theta``: one :class:`ParameterRange` per parameter."""
 
     ranges: Tuple[ParameterRange, ...]
-    #: Per-dimension bounds and integer flags as arrays, built once for
-    #: the vectorized :meth:`clip`; equality and hashing use ``ranges``.
-    lo: np.ndarray = field(init=False, compare=False, repr=False)
-    hi: np.ndarray = field(init=False, compare=False, repr=False)
-    integer: np.ndarray = field(init=False, compare=False, repr=False)
+    #: Per-dimension bounds (as floats) and integer flags, built once for
+    #: :meth:`clip_rows`; equality and hashing use ``ranges``.
+    lo: Tuple[float, ...] = field(init=False, compare=False, repr=False)
+    hi: Tuple[float, ...] = field(init=False, compare=False, repr=False)
+    integer: Tuple[bool, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.ranges:
             raise FuzzConfigError("parameter space must have >= 1 dimension")
         ranges = tuple(self.ranges)
         object.__setattr__(self, "ranges", ranges)
-        for name, values, dtype in (
-            ("lo", [r.lo for r in ranges], np.float64),
-            ("hi", [r.hi for r in ranges], np.float64),
-            ("integer", [r.integer for r in ranges], bool),
-        ):
-            arr = np.asarray(values, dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "lo", tuple(float(r.lo) for r in ranges))
+        object.__setattr__(self, "hi", tuple(float(r.hi) for r in ranges))
+        object.__setattr__(self, "integer",
+                           tuple(bool(r.integer) for r in ranges))
 
     @classmethod
     def of(cls, *bounds: Sequence[float], integer: bool = True
@@ -112,26 +108,43 @@ class ParameterSpace:
         Equal, float for float, to :meth:`ParameterRange.clip` applied
         per dimension.
         """
-        return self.clip_rows(np.asarray(v, dtype=np.float64)[None])[0]
+        return self.clip_rows([[float(x) for x in v]])[0]
 
-    def clip_rows(self, rows: np.ndarray) -> List[Tuple[float, ...]]:
-        """:meth:`clip` of every row of an ``(n, ndim)`` array at once.
+    def clip_rows(self, rows: Sequence[Sequence[float]]
+                  ) -> List[Tuple[float, ...]]:
+        """:meth:`clip` of every row of ``rows`` (Python floats, or an
+        ``(n, ndim)`` array), in Python scalars.
 
-        The two ``where`` calls keep the operand choice of Python's
-        ``min(max(x, lo), hi)``, down to the sign of a zero.  ``np.rint``
-        rounds half to even, as ``round`` does, and ``+ 0.0`` turns its
-        ``-0.0`` into the ``0.0`` that ``float(round(x))`` gives.
+        ``lo if lo > x`` then ``hi if hi < x`` is the operand choice of
+        Python's ``min(max(x, lo), hi)``, down to the sign of a zero;
+        ``float(round(x))`` rounds half to even and gives ``0.0`` for
+        ``-0.0``, as :meth:`ParameterRange.clip` does.
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.ndim:
-            raise ProgramError(
-                f"parameter values of shape {rows.shape}, expected "
-                f"(n, {self.ndim})"
-            )
-        rows = np.where(self.lo > rows, self.lo, rows)
-        rows = np.where(self.hi < rows, self.hi, rows)
-        rows = np.where(self.integer, np.rint(rows) + 0.0, rows)
-        return [tuple(row) for row in rows.tolist()]
+        if isinstance(rows, np.ndarray):
+            if rows.ndim != 2:
+                raise ProgramError(
+                    f"parameter values of shape {rows.shape}, expected "
+                    f"(n, {self.ndim})"
+                )
+            rows = rows.astype(np.float64, copy=False).tolist()
+        los, his, integers = self.lo, self.hi, self.integer
+        ndim = len(los)
+        out = []
+        for row in rows:
+            if len(row) != ndim:
+                raise ProgramError(
+                    f"parameter value has {len(row)} components, expected "
+                    f"{ndim}"
+                )
+            clipped = []
+            for x, lo, hi, integer in zip(row, los, his, integers):
+                if lo > x:
+                    x = lo
+                if hi < x:
+                    x = hi
+                clipped.append(float(round(x)) if integer else x)
+            out.append(tuple(clipped))
+        return out
 
     def sample(self, rng: np.random.Generator) -> Tuple[float, ...]:
         """One uniform sample from Theta."""

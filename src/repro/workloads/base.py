@@ -105,7 +105,11 @@ class Program(abc.ABC):
 
     def parameter_space(self, dims: Sequence[int]) -> ParameterSpace:
         """Theta for a given data array shape (built once per shape)."""
-        dims = self.check_dims(dims)
+        return self._space_for(self.check_dims(dims))
+
+    def _space_for(self, dims: Tuple[int, ...]) -> ParameterSpace:
+        """:meth:`parameter_space` of ``dims`` that :meth:`check_dims`
+        already returned, so a debloat test validates its dims once."""
         space = self._space_cache.get(dims)
         if space is None:
             space = self._build_parameter_space(dims)

@@ -66,7 +66,7 @@ class AtmosphericRiver(Program):
     def access_indices(self, v: Sequence[float], dims: Sequence[int]
                        ) -> np.ndarray:
         dims = self.check_dims(dims)
-        space = self.parameter_space(dims)
+        space = self._space_for(dims)
         if not space.contains(tuple(v)):
             return np.empty((0, 3), dtype=np.int64)
         w, h, _t = (int(x) for x in v)
@@ -121,7 +121,7 @@ class MassSpectroscopy(Program):
     def access_indices(self, v: Sequence[float], dims: Sequence[int]
                        ) -> np.ndarray:
         dims = self.check_dims(dims)
-        space = self.parameter_space(dims)
+        space = self._space_for(dims)
         if not space.contains(tuple(v)):
             return np.empty((0, 3), dtype=np.int64)
         s = int(v[0])

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arraymodel.layout import row_major_strides, sorted_unique
+from repro.arraymodel.layout import row_major_strides
 from repro.fuzzing.parameters import ParameterSpace
 from repro.perf.bitmap import unique_lattice_points
 from repro.workloads.base import Program
@@ -46,6 +46,35 @@ def _box_flat(lo: Sequence[int], hi: Sequence[int],
         flat = flat[..., None] + np.arange(a * stride, b * stride, stride,
                                            dtype=np.int64)
     return flat.reshape(-1)
+
+
+def _box_surface_flat(lo: Sequence[int], hi: Sequence[int],
+                      dims: Sequence[int]) -> np.ndarray:
+    """Flat offsets of the surface of the in-bounds box [lo, hi) — its
+    cells with some coordinate on the box's first or last layer of that
+    axis — ascending and unique, with no sort.
+
+    Row-major order visits the first axis outermost: its end layers are
+    full boxes of the other axes, and every layer between them is the
+    surface of the other axes.
+    """
+    first, last = lo[0], hi[0] - 1
+    if len(dims) == 1:
+        return np.asarray(sorted({first, last}), dtype=np.int64)
+    stride = row_major_strides(dims)[0]
+    full = _box_flat(lo[1:], hi[1:], dims[1:])
+    if first == last:
+        return first * stride + full
+    inner = _box_surface_flat(lo[1:], hi[1:], dims[1:])
+    n, layers = full.size, last - first - 1
+    # Filled in place: the surface is most of a PRL run's offsets, and
+    # each temporary of its size costs fresh pages.
+    out = np.empty(2 * n + layers * inner.size, dtype=np.int64)
+    np.add(full, first * stride, out=out[:n])
+    np.add(np.arange(first + 1, last, dtype=np.int64)[:, None] * stride,
+           inner, out=out[n:out.size - n].reshape(layers, inner.size))
+    np.add(full, last * stride, out=out[out.size - n:])
+    return out
 
 
 class PeripheralRing(Program):
@@ -92,7 +121,7 @@ class PeripheralRing(Program):
     def _half_extents(self, v: Sequence[float], dims: Tuple[int, ...]
                       ) -> Optional[Tuple[int, ...]]:
         """The run's half-extents, or ``None`` when ``v`` is not useful."""
-        if not self.parameter_space(dims).contains(tuple(v)):
+        if not self._space_for(dims).contains(tuple(v)):
             return None
         half = tuple(int(x) for x in v)
         return half if self.valid_step(half, dims) else None
@@ -120,9 +149,11 @@ class PeripheralRing(Program):
         half = self._half_extents(v, dims)
         if half is None:
             return np.empty(0, dtype=np.int64)
-        return sorted_unique(np.concatenate(
-            [_box_flat(lo, hi, dims) for lo, hi in self._faces(half, dims)]
-        ))
+        # The union of the faces is the surface of the run's box.
+        c = self._center(dims)
+        return _box_surface_flat([ck - w for ck, w in zip(c, half)],
+                                 [ck + w + 1 for ck, w in zip(c, half)],
+                                 dims)
 
     def access_indices(self, v: Sequence[float], dims: Sequence[int]
                        ) -> np.ndarray:
@@ -220,7 +251,7 @@ class CornerBlocks(Program):
                    ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """The run's block as a [lo, hi) box, or ``None`` when ``v`` is
         not useful."""
-        if not self.parameter_space(dims).contains(tuple(v)):
+        if not self._space_for(dims).contains(tuple(v)):
             return None
         anchor = tuple(int(x) for x in v)
         if self._window_of(anchor, dims) < 0:

@@ -112,7 +112,7 @@ class StepWalkProgram(Program):
     def access_indices(self, v: Sequence[float], dims: Sequence[int]
                        ) -> np.ndarray:
         dims = self.check_dims(dims)
-        space = self.parameter_space(dims)
+        space = self._space_for(dims)
         if not space.contains(tuple(v)):
             return np.empty((0, self.ndim), dtype=np.int64)
         step = tuple(int(x) for x in v)

@@ -198,3 +198,62 @@ class TestBackwardCompatibility:
         _rewrite_header(knd, header)
         with pytest.raises(FileFormatError, match="header checksum"):
             ArrayFile.open(knd)
+
+
+def _round_trip_crc(body):
+    """The meta CRC's former definition: a JSON round trip, then the
+    canonical dump."""
+    canonical = json.dumps(json.loads(json.dumps(body)), sort_keys=True,
+                           separators=(",", ":"))
+    return zlib.crc32(canonical.encode("utf-8"))
+
+
+class TestMetaCrcCanonicalForm:
+    """``meta_crc32`` dumps the body directly.  For every header kind
+    (KND, KNDS, bundle, journal patch), on the body its writer checksums
+    and on the body a reader parses back, that equals the round-trip
+    form, so no stored checksum changes."""
+
+    def test_every_header_kind(self, tmp_path, monkeypatch):
+        from repro.arraymodel import datafile
+        from repro.arraymodel.bundle import BundleFile
+        from repro.resilience.durability import journal
+
+        bodies = []
+
+        def recording(body):
+            bodies.append(body)
+            return meta_crc32(body)
+
+        monkeypatch.setattr(datafile, "meta_crc32", recording)
+        monkeypatch.setattr(journal, "meta_crc32", recording)
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((40, 40))
+        for name, chunks in (("row.knd", None), ("chunked.knd", (7, 9))):
+            knd = str(tmp_path / name)
+            ArrayFile.create(knd, ArraySchema((40, 40), "f8", chunks=chunks),
+                             data).close()
+            ArrayFile.open(knd).close()
+            keep = np.flatnonzero(rng.random(1600) < 0.4).astype(np.int64)
+            knds = str(tmp_path / (name + "s"))
+            with ArrayFile.open(knd) as source:
+                DebloatedArrayFile.create(knds, source,
+                                          keep_flat_indices=keep).close()
+            DebloatedArrayFile.open(knds).close()
+        bundle = str(tmp_path / "b.knb")
+        BundleFile.create(bundle, {
+            "t": (ArraySchema((8, 8), "f8"), data[:8, :8]),
+            "z": (ArraySchema((4, 4), "f4"), None),
+        }).close()
+        BundleFile.open(bundle).close()
+        patch = str(tmp_path / "p.patch")
+        journal.write_patch(patch, journal.PatchFile(
+            extents=((0, 16), (64, 8)), payload=bytes(range(24))))
+        journal.read_patch(patch)
+        written = [b for b in bodies if "schema" in b]
+        assert any("extents" not in b for b in written)  # KND
+        assert any("extents" in b for b in written)  # KNDS
+        assert any("members" in b for b in bodies)  # bundle
+        assert any("payload_crc32" in b for b in bodies)  # journal patch
+        for body in bodies:
+            assert meta_crc32(body) == _round_trip_crc(body)

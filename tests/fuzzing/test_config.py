@@ -46,6 +46,7 @@ class TestValidation:
         ("eps", 1.1),
         ("u_dist", (5, 2)),
         ("n_dist", (-1, 2)),
+        ("u_dist", (0, float("inf"))),
     ])
     def test_bad_fuzz_values(self, field, value):
         with pytest.raises(FuzzConfigError):

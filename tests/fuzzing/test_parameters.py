@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FuzzConfigError, ProgramError
 from repro.fuzzing import ParameterRange, ParameterSpace, Seed
+from tests.oracles.mutation import clip_rows as oracle_clip_rows
 
 
 class TestParameterRange:
@@ -126,8 +127,9 @@ MIXED = ParameterSpace((
 
 
 class TestVectorClip:
-    """``clip``/``clip_rows`` are array-shaped; they must equal the
-    scalar per-range clip float for float, signed zeros included."""
+    """``clip``/``clip_rows`` clip whole rows in Python scalars; they must
+    equal the per-range clip and the array-shaped reference clip float for
+    float, signed zeros included."""
 
     @pytest.mark.parametrize("x", [0.5, 1.5, 2.5, 3.5, -0.5, -1.5, -2.5,
                                    9.5, 4.4999999, 4.5000001])
@@ -166,6 +168,9 @@ class TestVectorClip:
         got = MIXED.clip_rows(arr)
         want = [_scalar_clip(MIXED, row) for row in rows]
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        assert [_bits(r) for r in MIXED.clip_rows(arr.tolist())] \
+            == [_bits(r) for r in oracle_clip_rows(MIXED, arr)] \
+            == [_bits(r) for r in want]
         assert [_bits(MIXED.clip(row)) for row in rows] \
             == [_bits(r) for r in want]
         assert all(type(x) is float for r in got for x in r)
@@ -179,4 +184,5 @@ class TestVectorClip:
         b = ParameterSpace.of((0, 10), (0, 5))
         assert a == b and hash(a) == hash(b)
         assert repr(a).count("lo=") == a.ndim  # the ranges' own fields
-        assert a.lo.tolist() == [0.0, 0.0] and a.hi.tolist() == [10.0, 5.0]
+        assert a.lo == (0.0, 0.0) and a.hi == (10.0, 5.0)
+        assert all(type(x) is float for x in a.lo + a.hi)
