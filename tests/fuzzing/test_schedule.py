@@ -52,6 +52,39 @@ class TestScheduleMechanics:
         assert result.stop_reason == "time_budget"
         assert result.elapsed_seconds < 1.0
 
+    @pytest.mark.parametrize("crash_at", [2, 7, 8, 31])
+    def test_generator_is_current_after_a_test_raises(self, crash_at):
+        """The schedule holds the generator's kept 32-bit half between
+        MUTATEs.  A debloat test that raises still leaves the generator in
+        the state of a run that stopped just before it."""
+        space = ParameterSpace.of((0, 63), (0, 63), (0, 63))
+
+        def test(v):
+            return square_test(v[:2])
+
+        class Boom(Exception):
+            pass
+
+        calls = []
+
+        def crashing(v):
+            calls.append(v)
+            if len(calls) == crash_at:
+                raise Boom
+            return test(v)
+
+        crashed = FuzzSchedule(crashing, space,
+                               FuzzConfig(max_iter=100, rng_seed=3), 64 * 64)
+        with pytest.raises(Boom):
+            crashed.run()
+        stopped = FuzzSchedule(
+            test, space, FuzzConfig(max_iter=crash_at - 1, rng_seed=3),
+            64 * 64)
+        stopped.run()
+        stopped.words.flush()  # current whether or not run() flushed
+        assert crashed.rng.bit_generator.state \
+            == stopped.rng.bit_generator.state
+
     def test_bad_n_flat(self, space):
         with pytest.raises(FuzzConfigError):
             FuzzSchedule(square_test, space, FuzzConfig(), 0)
