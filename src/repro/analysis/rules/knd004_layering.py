@@ -9,8 +9,7 @@ ball of mud and eventually into import cycles.
 
 Enforced on *import-time* edges only: imports inside function bodies and
 under ``if TYPE_CHECKING:`` are the sanctioned escape hatches for
-genuine cycles (e.g. ``resilience.chaos`` drives the pipeline that the
-fuzz schedule's checkpointing depends on).
+genuine cycles.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from repro.analysis.rulebase import Rule, register
 #: must point strictly downward (higher layer -> lower layer); equal
 #: layers in different top-level packages are "cross" imports and also
 #: banned.  Longest matching prefix wins, so a subpackage can sit on a
-#: different layer than its parent (``resilience.chaos`` is a consumer
-#: of the pipeline; the rest of ``resilience`` is low-level machinery).
+#: different layer than its parent (``fuzzing.config`` sits below the
+#: rest of ``fuzzing``).
 LAYERS = {
     "repro.errors": 0,
     "repro.ioutil": 0,
@@ -44,7 +43,6 @@ LAYERS = {
     "repro.core": 60,
     "repro.service": 65,
     "repro.baselines": 70,
-    "repro.resilience.chaos": 70,
     "repro.container": 75,
     "repro.viz": 75,
     "repro.experiments": 85,

@@ -13,10 +13,6 @@ Subcommands:
 * ``kondo experiment`` — regenerate a paper table/figure by name (or
   ``all`` for the complete evaluation).
 * ``kondo visualize`` — ASCII overlay of a carved subset vs ground truth.
-* ``kondo chaos`` — fault-injection drills: verify the pipeline survives
-  flaky fetchers, mid-campaign crashes, corrupted artifacts, hung runs,
-  leaky runs, and killed service workers without changing its output
-  (exit code = number of failed drills; ``--list`` names them).
 * ``kondo check`` — static AST invariant linter: replay determinism,
   atomic writes, error taxonomy, layering, resource hygiene, durable writes, bounded waits, vectorized audit hot paths,
   bounded service-layer queue/socket operations, plus the
@@ -292,31 +288,6 @@ def cmd_rollback(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from repro.resilience.chaos import DRILL_NAMES, run_chaos
-
-    if args.list:
-        for drill in DRILL_NAMES:
-            print(drill)
-        return 0
-    if not args.program:
-        print("error: a program is required (or use --list)",
-              file=sys.stderr)
-        return 2
-    report = run_chaos(
-        args.program,
-        dims=_parse_dims(args.dims, get_program(args.program)),
-        seed=args.seed,
-        max_iter=args.max_iter,
-        fetch_fail_rate=args.fail_rate,
-        crash_at=args.crash_at,
-    )
-    print(report.format())
-    # Exit code = number of failed drills, capped below the 126+ range
-    # the shell reserves for "not executable"/signal statuses.
-    return min(125, report.n_failed)
-
-
 def cmd_serve(args) -> int:
     import signal as _signal
     import threading as _threading
@@ -524,22 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=64)
 
-    p = sub.add_parser("chaos",
-                       help="fault-injection drills against the pipeline "
-                            "(exit code = number of failed drills)")
-    p.add_argument("program", nargs="?",
-                   help="workload under test (omit with --list)")
-    p.add_argument("--list", action="store_true",
-                   help="print the drill names and exit")
-    p.add_argument("--dims", help="array shape, e.g. 32x32")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=400,
-                   help="campaign iteration budget per drill")
-    p.add_argument("--fail-rate", type=float, default=0.5,
-                   help="injected remote-fetch failure probability")
-    p.add_argument("--crash-at", type=int, default=150,
-                   help="debloat-test call at which the campaign crashes")
-
     p = sub.add_parser("fsck",
                        help="deep-verify a KND/KNDS file (exit 0 clean, "
                             "1 span damage, 2 structural)")
@@ -676,7 +631,6 @@ _COMMANDS = {
     "make-data": cmd_make_data,
     "run": cmd_run,
     "experiment": cmd_experiment,
-    "chaos": cmd_chaos,
     "check": cmd_check,
     "fsck": cmd_fsck,
     "repair": cmd_repair,

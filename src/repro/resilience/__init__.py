@@ -1,15 +1,12 @@
-"""Opt-in resilience layer: fault injection, self-healing, crash tolerance.
+"""Opt-in resilience layer: self-healing, crash tolerance, supervision.
 
 A single frozen config block —
 :class:`ResilienceConfig`, carried by
 :class:`~repro.fuzzing.config.FuzzConfig` — switches every behaviour on,
 and the defaults are all *off*, which keeps the pipeline bit-identical to
-the seed.  Four pillars:
+the seed.  The fault injectors that prove it (``pytest -m chaos``) live
+with the drills in ``tests/chaos/``, not here.  The pillars:
 
-* :mod:`repro.resilience.faults` — composable fault injectors (corrupt
-  bytes, flaky/hanging fetchers, hung and leaky runs, mid-campaign
-  crashes)
-  used by the chaos test suite and the ``kondo chaos`` subcommand.
 * :mod:`repro.resilience.retry` — retry with exponential backoff,
   deadlines, and a circuit breaker for the remote-fetch path.
 * :mod:`repro.resilience.healing` — the self-healing runtime: retries the
@@ -38,16 +35,6 @@ from repro.resilience.durability import (
     fsck_file,
     repair_bundle,
 )
-from repro.resilience.faults import (
-    ChaosMonkey,
-    CrashAt,
-    FlakyCallable,
-    HangForever,
-    MemoryHog,
-    corrupt_file,
-    torn_append,
-    torn_write,
-)
 from repro.resilience.healing import ResilientRuntime, SubsetPatch
 from repro.resilience.retry import (
     CircuitBreaker,
@@ -63,13 +50,8 @@ from repro.resilience.supervision import (
 
 __all__ = [
     "BundleJournal",
-    "ChaosMonkey",
     "CircuitBreaker",
-    "CrashAt",
-    "FlakyCallable",
     "FsckReport",
-    "HangForever",
-    "MemoryHog",
     "RepairReport",
     "ResilienceConfig",
     "ResilientRuntime",
@@ -78,13 +60,10 @@ __all__ = [
     "SubsetPatch",
     "SupervisedResult",
     "Supervisor",
-    "corrupt_file",
     "fsck_file",
     "load_campaign_state",
     "repair_bundle",
     "retry_call",
     "save_campaign_state",
     "supervisor_from_config",
-    "torn_append",
-    "torn_write",
 ]

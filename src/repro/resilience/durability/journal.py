@@ -51,11 +51,9 @@ from repro.arraymodel.debloated import (
 )
 from repro.errors import FileFormatError
 from repro.ioutil import atomic_write, durable_append, fsync_dir
-from repro.resilience.durability.records import (
-    check_record,
-    parse_log,
-    seal_record,
-)
+# The sealed-record discipline lives in records, shared with the service
+# job store.
+from repro.resilience.durability.records import parse_log, seal_record
 
 PATCH_MAGIC = b"KNDP"
 
@@ -231,17 +229,6 @@ def apply_patch(bundle: DebloatedArrayFile, patch: PatchFile) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Journal records — the sealed-record discipline itself lives in
-# repro.resilience.durability.records, shared with the service job store.
-# The underscore aliases are the names this module's callers (chaos
-# drills, durability tests) have always imported.
-
-_seal_record = seal_record
-_check_record = check_record
-_parse_log = parse_log
-
-
-# ---------------------------------------------------------------------------
 # The journal
 
 
@@ -296,7 +283,7 @@ class BundleJournal:
             return
         with open(self.log_path, "rb") as fh:
             raw = fh.read()
-        self.records, clean_end, self.torn = _parse_log(raw)
+        self.records, clean_end, self.torn = parse_log(raw)
         if recover:
             if self.torn:
                 self._truncate_log(clean_end)
@@ -382,7 +369,7 @@ class BundleJournal:
 
     def _append(self, rec: dict) -> None:
         self.records.append(rec)
-        durable_append(self.log_path, _seal_record(rec))
+        durable_append(self.log_path, seal_record(rec))
 
     def _bundle_crc(self) -> int:
         with open(self.bundle_path, "rb") as fh:

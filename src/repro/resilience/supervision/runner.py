@@ -58,8 +58,9 @@ _HEARTBEAT_SUPPRESSED = threading.Event()
 def suppress_heartbeat() -> None:
     """Stop this process's supervision heartbeat (fault-injection hook).
 
-    Called *inside a supervised child* by injectors like
-    ``HangForever(drop_heartbeat=True)`` to model the failure mode where
+    Called *inside a supervised child* by fault injectors (the chaos
+    tests' ``HangForever(drop_heartbeat=True)`` in ``tests/chaos/``) to
+    model the failure mode where
     the interpreter is wedged (heartbeats stop) but the process has not
     exhausted its wall-clock budget yet — the LOST-HEARTBEAT verdict.
     """

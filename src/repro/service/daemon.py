@@ -7,7 +7,8 @@ state lives in that store (:mod:`repro.service.fleet.store`): jobs,
 fencing-token leases, failure and dead-letter records, cancels and
 outcomes are all records, and every state is derived from them.  What
 the daemon keeps in memory is only what dies with it anyway: the
-attempts it is running, the progress bus, and a cache of sealed jobs.
+attempts it is running, the progress bus, and a cache of the
+``SEALED_JOBS_KEPT`` most recently sealed jobs.
 
 One :class:`KondoService` runs:
 
@@ -45,8 +46,9 @@ One :class:`KondoService` runs:
 A restart re-enlists under a bumped epoch, which makes every lease the
 dead incarnation held reclaimable at once.  ``drain`` (or SIGTERM)
 stops admission and lets the admitted work finish; ``abort`` is the
-crash path the chaos drills use — the daemon writes nothing more.
-Either way, once the daemon stops no unit child of it is left running.
+crash path the chaos drills in ``tests/chaos/`` take — the daemon writes
+nothing more.  Either way, once the daemon stops no unit child of it is
+left running.
 """
 
 from __future__ import annotations
@@ -110,6 +112,11 @@ DEFAULT_DEADLINE_S = 600.0
 #: life of its stream); beyond this, connections get REJECTED-BUSY.
 MAX_CONNECTIONS = 32
 
+#: Sealed jobs whose view and event ring stay in memory.  Past it the
+#: job sealed longest ago that has no follower is evicted; its status and
+#: ``follow`` re-read the store, exactly like a job sealed by a peer.
+SEALED_JOBS_KEPT = 64
+
 #: A ``follow`` stream with nothing to say sends a keepalive this often
 #: so the client's read timeout distinguishes "slow job" from "dead
 #: daemon".
@@ -163,8 +170,8 @@ class KondoService:
             carry their own ``deadline_s``.
         heartbeat_interval_s: supervised-child heartbeat period and
             registry heartbeat period.
-        shard_runner: override unit execution (chaos drills and tests
-            inject faulty runners); defaults to
+        shard_runner: override unit execution (the chaos drills and
+            service tests inject faulty runners); defaults to
             :func:`repro.service.shards.execute_shard`.  It is called as
             ``(spec_json, shard) -> dict`` in the unit's forked child, so
             nothing it does reaches the daemon except its pickled
@@ -267,6 +274,12 @@ class KondoService:
         self._event_seq: Dict[str, int] = {}
         self._followers: Dict[str, List[queue.Queue]] = {}
         self._event_lock = threading.Lock()
+        #: Sealed jobs still held in ``_views``/``_events``, sealed
+        #: longest ago first, and the ids of those evicted (about 100
+        #: bytes each: scans skip them without a store read); both under
+        #: ``_event_lock``.
+        self._kept: Dict[str, None] = {}
+        self._evicted: set = set()
         self._conn_slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         self._threads: List[threading.Thread] = []
         self._sock: Optional[socket.socket] = None
@@ -390,8 +403,9 @@ class KondoService:
     # -- store views ----------------------------------------------------------
 
     def _view(self, job: str) -> Optional[JobView]:
-        """The job's current view; sealed jobs are served from memory,
-        and a partitioned daemon serves its last good view."""
+        """The job's current view; sealed jobs are served from memory
+        until evicted, and a partitioned daemon serves its last good
+        view."""
         view = self._views.get(job)
         if view is not None and view.state in TERMINAL_STATES:
             return view
@@ -405,13 +419,53 @@ class KondoService:
             self._enter_partition()
             return view
         if fresh is not None:
-            self._views[job] = fresh
+            with self._event_lock:
+                if job not in self._evicted:
+                    self._views[job] = fresh
+                    if fresh.state in TERMINAL_STATES:
+                        self._keep_sealed(job)
         return fresh
+
+    def _known_view(self, job: Optional[str]) -> JobView:
+        """The job's view, or the typed rejection a request about it
+        gets: PARTITIONED for an evicted job the unreachable store
+        holds, UNKNOWN-JOB otherwise."""
+        view = self._view(job) if job else None
+        if view is not None:
+            return view
+        if self.partitioned and job in self._evicted:
+            raise JobRejectedError(
+                f"job {job} is sealed and no longer held in memory; the "
+                f"campaign store is unreachable",
+                code=protocol.PARTITIONED,
+            )
+        raise JobRejectedError(f"unknown job {job}",
+                               code=protocol.UNKNOWN_JOB)
+
+    def _keep_sealed(self, job: str) -> None:
+        """Hold a newly sealed job; evict past ``SEALED_JOBS_KEPT``,
+        sealed longest ago first, skipping jobs with a follower.  Called
+        under ``_event_lock``."""
+        self._kept[job] = None
+        excess = len(self._kept) - SEALED_JOBS_KEPT
+        if excess <= 0:
+            return
+        gone = [j for j in self._kept if j not in self._followers][:excess]
+        for old in gone:
+            del self._kept[old]
+            self._evicted.add(old)
+            self._views.pop(old, None)
+            self._events.pop(old, None)
+            self._event_seq.pop(old, None)
+        with self._hedged_lock:
+            self._hedged = {k for k in self._hedged if k[0] not in gone}
 
     def _sealed(self, job: str) -> bool:
         """Whether the job has its outcome or cancel record (cheaply)."""
         view = self._views.get(job)
         if view is not None and view.state in TERMINAL_STATES:
+            return True
+        if job in self._evicted:
             return True
         if self.store.read_outcome(job) is None \
                 and self.store.read_cancel(job) is None:
@@ -477,6 +531,8 @@ class KondoService:
         worker thread loses nothing.
         """
         with self._event_lock:
+            if job_id in self._evicted:
+                return  # a follower of it ends on the store's state
             seq = self._event_seq.get(job_id, 0) + 1
             self._event_seq[job_id] = seq
             event = dict(fields, kind=kind, job=job_id, seq=seq)
@@ -673,10 +729,7 @@ class KondoService:
                 self._views))]
             return protocol.ok(**self._identity(), jobs=[
                 self._status_entry(v) for v in views if v is not None])
-        view = self._view(job)
-        if view is None:
-            raise JobRejectedError(f"unknown job {job}",
-                                   code=protocol.UNKNOWN_JOB)
+        view = self._known_view(job)
         return protocol.ok(**self._identity(), **self._status_entry(view))
 
     def _status_entry(self, view: JobView) -> dict:
@@ -699,10 +752,7 @@ class KondoService:
 
     def _op_cancel(self, request: dict) -> dict:
         job = request.get("job")
-        view = self._view(job) if job else None
-        if view is None:
-            raise JobRejectedError(f"unknown job {job}",
-                                   code=protocol.UNKNOWN_JOB)
+        view = self._known_view(job)
         if view.state != QUEUED or not self.store.cancel(job):
             raise JobRejectedError(
                 f"job {job} is {self._view(job).state}; only queued jobs "
@@ -736,10 +786,10 @@ class KondoService:
         idle stream also ends once the store shows the job sealed.
         """
         job_id = request.get("job")
-        view = self._view(job_id) if job_id else None
-        if view is None:
-            self._respond(conn, protocol.error(protocol.UNKNOWN_JOB,
-                                               f"unknown job {job_id}"))
+        try:
+            view = self._known_view(job_id)
+        except JobRejectedError as exc:
+            self._respond(conn, protocol.error(exc.code, str(exc)))
             return
         follower, backlog = self._subscribe(job_id)
         try:

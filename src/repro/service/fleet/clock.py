@@ -16,8 +16,8 @@ it must never mix clock kinds:
 :class:`ClockSource` is the one object that owns both reads plus the
 skew-tolerant comparison helpers, and it is injected through the daemon
 configuration — production uses the real OS clocks, tests inject
-:class:`FakeClock` and drive time by hand, and the chaos drills wrap a
-real source in :class:`SkewedClock` to prove the allowance actually
+:class:`FakeClock` and drive time by hand, and the fleet-store tests
+wrap a source in :class:`SkewedClock` to prove the allowance actually
 bounds what a skewed host can do.
 """
 
@@ -105,7 +105,7 @@ class FakeClock(ClockSource):
 class SkewedClock(ClockSource):
     """A clock whose wall reads lead (or lag) a base source by a bias.
 
-    The chaos drills wrap one daemon's clock in this to prove the
+    The fleet-store tests wrap one host's clock in this to prove the
     documented contract: a skew within the allowance never lets a host
     reclaim a live lease, and the fencing tokens keep the store
     consistent even when the skew exceeds it.

@@ -57,7 +57,9 @@ carrying that token into place.  Three consequences do all the work:
 Partition injection for tests and chaos drills goes through
 ``fault_gate``: a callable invoked at the top of every store operation
 which raises :class:`OSError` while the "network" is down — the daemon
-reacts exactly as it would to a real unreachable mount.
+reacts exactly as it would to a real unreachable mount.  The tests'
+gates (``PartitionGate``, ``GateCrashPoint``) live in
+``tests/chaos/faults.py``.
 """
 
 from __future__ import annotations

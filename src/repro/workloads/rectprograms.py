@@ -15,7 +15,7 @@ program", which is why Kondo's precision on them is 1 across all runs
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from repro.arraymodel.layout import row_major_strides
 from repro.fuzzing.parameters import ParameterSpace
 from repro.perf.bitmap import unique_lattice_points
 from repro.workloads.base import Program
+
+#: Per-axis inclusive ``(lo, hi)`` ranges, one pair per axis.
+Band = Tuple[Tuple[int, int], ...]
 
 
 def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
@@ -92,18 +95,24 @@ class PeripheralRing(Program):
         self.name = f"PRL{ndim}D"
         self.description = f"{ndim}-D peripheral ring with central hole"
         super().__init__()
+        self._band_cache: Dict[Tuple[int, ...], Band] = {}
 
-    def _valid_band(self, dims: Sequence[int]) -> List[Tuple[int, int]]:
-        """Per-axis supported half-extent range [lo, hi].
+    def _valid_band(self, dims: Sequence[int]) -> Band:
+        """Per-axis supported half-extent range [lo, hi] (built once per
+        shape).
 
         The hole (everything closer to the center than the band's lower
         edge) is proportionally larger in 3-D — the paper observes that
         "the hole enlarges in PRL3D", which is what depresses PRL3D's
         precision below PRL2D's.
         """
-        if self.ndim >= 3:
-            return [(d // 4, (3 * d) // 8) for d in dims]
-        return [(d // 8, (3 * d) // 8) for d in dims]
+        dims = tuple(dims)
+        band = self._band_cache.get(dims)
+        if band is None:
+            low = 4 if self.ndim >= 3 else 8
+            band = tuple((d // low, (3 * d) // 8) for d in dims)
+            self._band_cache[dims] = band
+        return band
 
     def _build_parameter_space(self, dims: Tuple[int, ...]
                                ) -> ParameterSpace:
@@ -213,27 +222,30 @@ class CornerBlocks(Program):
             + ("anti-diagonal" if anti_diagonal else "main-diagonal")
         )
         super().__init__()
+        self._window_cache: Dict[Tuple[int, ...], Tuple[Band, Band]] = {}
 
     def _block(self, dims: Sequence[int]) -> int:
         return max(2, min(dims) // 8)
 
-    def _windows(self, dims: Sequence[int]
-                 ) -> List[List[Tuple[int, int]]]:
-        """Two per-axis anchor windows [lo, hi] (inclusive)."""
+    def _windows(self, dims: Sequence[int]) -> Tuple[Band, Band]:
+        """Two per-axis anchor windows [lo, hi] (inclusive), built once
+        per shape."""
+        dims = tuple(dims)
+        windows = self._window_cache.get(dims)
+        if windows is not None:
+            return windows
         b = self._block(dims)
         # 3-D anchor windows are proportionally wider: the valid fraction
         # of Theta shrinks with the cube of the window width, and a window
         # that is discoverable in 2-D becomes a needle in 3-D.
         frac = 4 if self.ndim >= 3 else 8
-        low = [(0, d // frac) for d in dims]
-        high = [(d - d // frac - b, d - b) for d in dims]
-        if not self.anti_diagonal:
-            return [low, high]
-        # Anti-diagonal: flip the window on the first axis.
-        first_low, first_high = low[0], high[0]
-        win_a = [first_high] + low[1:]
-        win_b = [first_low] + high[1:]
-        return [win_a, win_b]
+        low = tuple((0, d // frac) for d in dims)
+        high = tuple((d - d // frac - b, d - b) for d in dims)
+        if self.anti_diagonal:
+            # Anti-diagonal: flip the window on the first axis.
+            low, high = high[:1] + low[1:], low[:1] + high[1:]
+        windows = self._window_cache[dims] = (low, high)
+        return windows
 
     def _build_parameter_space(self, dims: Tuple[int, ...]
                                ) -> ParameterSpace:

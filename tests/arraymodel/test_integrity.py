@@ -17,7 +17,7 @@ import pytest
 from repro.arraymodel import ArrayFile, ArraySchema, DebloatedArrayFile
 from repro.arraymodel.datafile import FORMAT_VERSION, meta_crc32
 from repro.errors import FileFormatError
-from repro.resilience.faults import corrupt_file
+from tests.chaos.faults import corrupt_file
 
 DIMS = (6, 6)
 

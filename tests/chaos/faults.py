@@ -1,15 +1,19 @@
-"""Composable fault injectors for chaos testing the pipeline.
+"""Composable fault injectors for the chaos drills (``pytest -m chaos``).
 
 Each injector wraps one dependency the pipeline trusts — file bytes, the
-remote fetcher, the debloat test, the campaign loop itself — and makes
-it fail the way production does: corrupt artifacts, flaky or hanging
-RPCs, hung or leaking runs, processes killed mid-campaign.  The
-chaos test suite (``pytest -m chaos``) and the ``kondo chaos`` subcommand
-drive these against the resilience layer and assert the pipeline's output
-is unchanged.
+remote fetcher, the debloat test, the campaign loop itself, the fleet
+store — and makes it fail the way production does: corrupt artifacts,
+flaky or hanging RPCs, hung or leaking runs, processes killed
+mid-campaign, a store that goes unreachable.  The drills in
+``tests/chaos/test_drills.py`` arm them against the resilience layer and
+the service and assert the pipeline's output is unchanged.  Nothing under
+``src/`` imports this module: the library takes faults only through its
+plain seams (a debloat test, a fetcher, a ``fault_gate`` callable).
 
 All randomness is seeded so every injected failure schedule replays
-exactly.
+exactly.  Supervised runs and service units execute in ``os.fork``
+children, so an injector defined here (or in a test) reaches the child
+as-is; its call counts cross the fork through :class:`_ForkSafeCounter`.
 """
 
 from __future__ import annotations
@@ -81,8 +85,6 @@ def corrupt_file(
         positions = sorted(
             int(p) for p in rng.choice(size, size=sites, replace=False)
         )
-        # kondo: allow[KND002] fault injector: in-place decay is the
-        # point — atomic replacement would defeat the drill
         with open(path, "r+b") as fh:
             for pos in positions:
                 fh.seek(pos)
@@ -100,16 +102,12 @@ def corrupt_file(
                 f"{offset} would "
                 + ("empty the file" if offset <= 0 else "not damage it")
             )
-        # kondo: allow[KND002] fault injector: damaging the artifact
-        # in place is this function's entire purpose
         with open(path, "r+b") as fh:
             fh.truncate(offset)
         return offset
     if offset is None:
         offset = int(np.random.default_rng(seed).integers(0, size))
     offset = min(max(int(offset), 0), size - 1)
-    # kondo: allow[KND002] fault injector: in-place corruption is the
-    # point — atomic replacement would defeat the drill
     with open(path, "r+b") as fh:
         fh.seek(offset)
         chunk = bytearray(fh.read(length))
@@ -128,17 +126,12 @@ def torn_write(path: str, data: bytes, keep_bytes: int) -> None:
     The file ends up holding exactly the first ``keep_bytes`` of
     ``data`` — the state a crashed ``open(path, "wb")`` writer leaves
     behind, which is precisely what ``repro.ioutil.atomic_write``
-    exists to prevent.  Used by the torn-patch chaos drill to prove the
-    journal's recovery keeps the bundle old-or-new, never hybrid.
+    exists to prevent.
     """
     if not 0 <= keep_bytes <= len(data):
         raise ResilienceConfigError(
             f"keep_bytes must be in [0, {len(data)}], got {keep_bytes}"
         )
-    # kondo: allow[KND002] fault injector: the torn, non-atomic write
-    # IS the fault being injected
-    # kondo: allow[KND007] same — this simulates the crash the journal
-    # must survive, so it must bypass the journal API
     with open(path, "wb") as fh:
         fh.write(data[:keep_bytes])
 
@@ -154,9 +147,6 @@ def torn_append(path: str, data: bytes, keep_bytes: int) -> None:
         raise ResilienceConfigError(
             f"keep_bytes must be in [0, {len(data)}], got {keep_bytes}"
         )
-    # kondo: allow[KND002] fault injector: the torn append IS the fault
-    # kondo: allow[KND007] simulates the crash mid-journal-append that
-    # recovery must handle, so it must bypass the journal API
     with open(path, "ab") as fh:
         fh.write(data[:keep_bytes])
 
@@ -231,9 +221,6 @@ class _ForkSafeCounter:
 
     def increment(self) -> int:
         """Count one call; return the total so far (1-based)."""
-        # kondo: allow[KND002] fault-injection bookkeeping: a one-byte
-        # O_APPEND tally shared across forked children — atomicity comes
-        # from O_APPEND itself, not from a rename
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
         try:
             os.write(fd, b"\x01")
@@ -461,8 +448,7 @@ class GateCrashPoint:
 class ChaosMonkey:
     """A composed fault plan: which injectors to arm for one chaos run.
 
-    Used by :mod:`repro.resilience.chaos` to build the faulted pipeline;
-    fields are all optional so scenarios arm only the faults they test.
+    Fields are all optional so scenarios arm only the faults they test.
     """
 
     fetch_fail_rate: float = 0.0
@@ -492,3 +478,11 @@ class ChaosMonkey:
                 fetcher, fail_rate=self.fetch_fail_rate, seed=self.fetch_seed
             )
         return fetcher
+
+
+def wrap_test(kondo, wrapper, *args):
+    """Wrap ``kondo``'s debloat test in an injector, keeping ``n_flat``."""
+    test = kondo.make_test()
+    wrapped = wrapper(test, *args)
+    wrapped.n_flat = test.n_flat
+    return wrapped

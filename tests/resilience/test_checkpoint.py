@@ -19,8 +19,8 @@ from repro.resilience.checkpoint import (
     save_campaign_state,
 )
 from repro.resilience.config import NO_RESILIENCE, ResilienceConfig
-from repro.resilience.faults import CrashAt
 from repro.workloads import get_program
+from tests.chaos.faults import CrashAt
 from tests.oracles.fuzz_schedule import OracleSchedule
 
 DIMS = (16, 16)

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.errors import FetchError, InjectedFault, ResilienceConfigError
-from repro.resilience.faults import (
+from tests.chaos.faults import (
     ChaosMonkey,
     CrashAt,
     FlakyCallable,

@@ -6,8 +6,8 @@ import pytest
 from repro.arraymodel import ArrayFile, ArraySchema, DebloatedArrayFile
 from repro.errors import DataMissingError, FetchError
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.faults import FlakyCallable
 from repro.resilience.healing import ResilientRuntime, SubsetPatch
+from tests.chaos.faults import FlakyCallable
 
 DIMS = (8, 8)
 KEPT = [0, 1, 2, 9, 10, 11]  # flat indices shipped in the subset

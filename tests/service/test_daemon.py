@@ -17,10 +17,17 @@ import time
 import pytest
 
 from repro import FuzzConfig, Kondo, get_program
-from repro.errors import JobRejectedError, ServiceError, ServiceProtocolError
+from repro.errors import (
+    FleetPartitionedError,
+    JobRejectedError,
+    ServiceError,
+    ServiceProtocolError,
+)
 from repro.resilience.retry import RetryPolicy
 from repro.service import JobSpec, KondoService, ServiceClient, result_digest
+from repro.service import daemon as daemon_module
 from repro.service.shards import execute_shard
+from tests.chaos.faults import PartitionGate
 from tests.service.conftest import child_pids
 
 DIMS = (16, 16)
@@ -482,5 +489,73 @@ class TestFollowEndsOnTheLocalSeal:
             kinds += [ev["kind"] for ev in stream]
             assert kinds[-2:] == ["done", "end"]
             assert kinds.count("done") == 1
+        finally:
+            svc.abort()
+
+
+class TestSealedJobsBounded:
+    """The daemon holds the view and event ring of at most
+    ``SEALED_JOBS_KEPT`` sealed jobs; an evicted job is served from the
+    store."""
+
+    KEPT = 3
+
+    def run_jobs(self, svc, n):
+        client = client_of(svc)
+        jobs = []
+        for seed in range(n):
+            job = client.submit(spec(seed=seed))["job"]
+            assert [ev["kind"] for ev in client.follow(
+                job, timeout_s=30.0)][-2:] == ["done", "end"]
+            client.status(job)  # caches the sealed view
+            jobs.append(job)
+        return jobs
+
+    def test_memory_is_bounded_and_evicted_jobs_still_answer(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_module, "SEALED_JOBS_KEPT", self.KEPT)
+        gate = PartitionGate()
+        svc = make_service(tmp_path, echo_seed, fault_gate=gate,
+                           heartbeat_interval_s=0.05).start()
+        try:
+            jobs = self.run_jobs(svc, 2 * self.KEPT + 1)
+            for held in (svc._views, svc._events, svc._event_seq,
+                         svc._hedged):
+                assert len(held) <= self.KEPT
+            oldest = jobs[0]
+            assert oldest not in svc._views
+            client = client_of(svc)
+            final = client.status(oldest)
+            assert final["state"] == "done"
+            assert final["result"]["iterations"] == 0
+            assert [ev["kind"] for ev in client.follow(
+                oldest, timeout_s=30.0)] == ["end"]
+            assert oldest not in svc._views  # re-read, not re-cached
+            # Partitioned, the daemon cannot re-read an evicted job; it
+            # says so instead of calling the job unknown.
+            gate.begin()
+            deadline = time.monotonic() + 10.0
+            while not svc.partitioned and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert svc.partitioned
+            with pytest.raises(FleetPartitionedError):
+                client.status(oldest)
+            assert client.status(jobs[-1])["state"] == "done"
+        finally:
+            gate.heal()
+            svc.abort()
+
+    def test_a_followed_job_is_never_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_module, "SEALED_JOBS_KEPT", self.KEPT)
+        svc = make_service(tmp_path, echo_seed).start()
+        try:
+            first = self.run_jobs(svc, 1)[0]
+            follower, _backlog = svc._subscribe(first)
+            try:
+                self.run_jobs(svc, 2 * self.KEPT + 1)
+                assert svc._views[first].state == "done"
+                assert first in svc._events
+            finally:
+                svc._unsubscribe(first, follower)
         finally:
             svc.abort()

@@ -15,7 +15,6 @@ import pytest
 
 from repro import cli
 from repro.errors import FleetError, FleetPartitionedError
-from repro.resilience.faults import PartitionGate
 from repro.resilience.retry import RetryPolicy
 from repro.service import (
     JobSpec,
@@ -24,6 +23,7 @@ from repro.service import (
     run_sharded_reference,
 )
 from repro.service.shards import execute_shard
+from tests.chaos.faults import PartitionGate
 
 DIMS = (16, 16)
 

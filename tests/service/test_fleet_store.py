@@ -19,7 +19,6 @@ from repro.errors import (
     JobRejectedError,
     StaleTokenError,
 )
-from repro.resilience.faults import GateCrashPoint, PartitionGate
 from repro.resilience.retry import RetryPolicy
 from repro.service import (
     JobSpec,
@@ -39,6 +38,7 @@ from repro.service.fleet import (
     stamp,
 )
 from repro.service.shards import execute_shard, merge_shard_results
+from tests.chaos.faults import GateCrashPoint, PartitionGate
 
 DIMS = (16, 16)
 

@@ -1,5 +1,7 @@
 """Unit tests for the kondo CLI."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,13 @@ class TestCli:
     def test_analyze_unknown_program(self, capsys):
         assert main(["analyze", "NOPE"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_chaos_is_not_a_subcommand(self, capsys):
+        # The chaos drills are tests (`pytest -m chaos`), not a command.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--list"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'chaos'" in capsys.readouterr().err
 
     def test_make_data_and_debloat_and_run(self, tmp_path, knd_path, capsys):
         out_path = str(tmp_path / "d.knds")
@@ -102,3 +111,21 @@ class TestCliPersistenceAndGranularity:
         code = main(["run", "CS", subset_path, "--value", "1,2"])
         assert code == 2
         assert "data-missing" in capsys.readouterr().out
+
+
+class TestCliCheckpointResume:
+    def test_analyze_checkpoint_resume_flags(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "c.npz")
+        assert main(["analyze", "CS", "--dims", "32x32",
+                     "--checkpoint", ckpt, "--checkpoint-every", "50"]) == 0
+        first = capsys.readouterr().out.strip().splitlines()[0]
+        assert os.path.exists(ckpt)
+        assert main(["analyze", "CS", "--dims", "32x32",
+                     "--checkpoint", ckpt, "--resume"]) == 0
+        resumed = capsys.readouterr().out.strip().splitlines()[0]
+        # Same campaign facts either way (timing text differs).
+        assert first.split(" in ")[0] == resumed.split(" in ")[0]
+
+    def test_resume_without_checkpoint_is_an_error(self, capsys):
+        assert main(["analyze", "CS", "--dims", "32x32", "--resume"]) == 1
+        assert "--checkpoint" in capsys.readouterr().err
